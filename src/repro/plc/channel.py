@@ -94,6 +94,9 @@ class SnrGroup:
     base_snr_db: np.ndarray
     snr_db: np.ndarray
     impulsive_rate_hz: float
+    #: Which of the grid's distinct appliance signatures the group has
+    #: (groups sharing it share ``base_snr_db``).
+    signature_index: int
 
 
 class PlcChannel:
@@ -125,32 +128,38 @@ class PlcChannel:
         if rng.uniform() < 0.3:
             self._direction_loss_db += float(rng.uniform(1.5, 5.5))
         self._connected = load.grid.connected(src_outlet, dst_outlet)
-        # Caches keyed by appliance on/off signature.
+        # Memos keyed by appliance on/off signature, and the jitter memo
+        # keyed by (hold interval, sigma). Forks share the channel across
+        # threads, so each memo is one (key, value) tuple: written with
+        # one assignment, read once.
         self._pathloss_cache: Tuple[Optional[tuple], Optional[np.ndarray]] = (
             None, None)
         self._snr_cache: Tuple[Optional[tuple], Optional[np.ndarray]] = (
+            None, None)
+        self._jitter_cache: Tuple[Optional[tuple], Optional[np.ndarray]] = (
             None, None)
 
     # --- multipath transfer function ------------------------------------------
 
     def path_loss_db(self, t: float) -> np.ndarray:
         """Per-carrier path loss (positive dB), for the appliance state at t."""
+        return self._path_loss_for(self.load.state_signature(t))
+
+    def _path_loss_for(self, signature: tuple) -> np.ndarray:
         if not self._connected:
             return np.full(self.spec.num_carriers, 200.0)
-        signature = self.load.state_signature(t)
         key, cached = self._pathloss_cache
         if key == signature and cached is not None:
             return cached
-        loss = self._compute_path_loss(t)
+        loss = self._compute_path_loss(signature)
         self._pathloss_cache = (signature, loss)
-        self._snr_cache = (None, None)
         return loss
 
-    def _compute_path_loss(self, t: float) -> np.ndarray:
-        spec = self.spec
+    def _compute_path_loss(self, signature: tuple) -> np.ndarray:
         grid = self.load.grid
         d_direct = grid.electrical_distance(self.src_outlet, self.dst_outlet)
-        taps = self.load.reflection_taps(self.src_outlet, self.dst_outlet, t)
+        taps = self.load.reflection_taps_for(self.src_outlet,
+                                             self.dst_outlet, signature)
 
         f = self._freqs
         # Direct path: cable loss, junction splits, tap through-losses.
@@ -198,7 +207,9 @@ class PlcChannel:
 
     def noise_psd_dbm_hz(self, t: float) -> np.ndarray:
         """Noise PSD at the receiver, shape (num_carriers, num_slots)."""
-        per_slot_total_db = self.load.noise_psd_at(self.dst_outlet, t)
+        return self._noise_grid(self.load.noise_psd_at(self.dst_outlet, t))
+
+    def _noise_grid(self, per_slot_total_db: np.ndarray) -> np.ndarray:
         total_mw = 10.0 ** (per_slot_total_db / 10.0)
         appliance_mw = np.maximum(total_mw - self._bg_mw, 0.0)
         # Outer product: spectral shape (carriers) x slot level (slots).
@@ -208,19 +219,29 @@ class PlcChannel:
 
     # --- cycle-scale jitter -------------------------------------------------------
 
+    @staticmethod
+    def _noise_dominance(per_slot_total_db: np.ndarray) -> float:
+        return float(np.mean(per_slot_total_db) - BACKGROUND_NOISE_DBM_HZ)
+
     def noise_dominance_db(self, t: float) -> float:
         """How far above the background floor the receiver noise sits (dB)."""
-        per_slot = self.load.noise_psd_at(self.dst_outlet, t)
-        return float(np.mean(per_slot) - BACKGROUND_NOISE_DBM_HZ)
+        return self._noise_dominance(
+            self.load.noise_psd_at(self.dst_outlet, t))
 
     def jitter_state(self, t: float) -> JitterState:
         """Jitter parameters; noisier environments jitter harder and faster."""
-        rho = self.noise_dominance_db(t)
+        signature = self.load.state_signature(t)
+        return self._jitter_state(signature, self.load.impulsive_event_rate_for(
+            self.dst_outlet, signature))
+
+    def _jitter_state(self, signature: tuple,
+                      impulsive_rate_hz: float) -> JitterState:
+        rho = self._noise_dominance(
+            self.load.noise_psd_for(self.dst_outlet, signature))
         sigma = float(np.clip(0.04 * np.exp(rho / 7.0), 0.04, 4.0))
         hold = float(np.clip(30.0 * np.exp(-rho / 4.0), 0.08, 20.0))
         impulse_prob = 0.02 + 0.002 * rho
-        rate = self.load.impulsive_event_rate_at(self.dst_outlet, t)
-        impulse_prob = min(0.35, impulse_prob + 0.1 * rate)
+        impulse_prob = min(0.35, impulse_prob + 0.1 * impulsive_rate_hz)
         return JitterState(sigma_db=float(sigma), hold_time_s=hold,
                            impulse_prob=float(impulse_prob),
                            impulse_depth_db=2.5)
@@ -245,31 +266,36 @@ class PlcChannel:
         state = self.jitter_state(t)
         index = int(t / state.hold_time_s)
         cache_key = (index, round(state.sigma_db, 6))
-        if getattr(self, "_jitter_cache_key", None) == cache_key:
-            return self._jitter_cache_value, state
+        key, cached = self._jitter_cache
+        if key == cache_key:
+            return cached, state
         rng = self._streams.fresh(f"plc.jitter.{self.name}.{index}")
         jitter = self._draw_jitter(rng, state)
-        self._jitter_cache_key = cache_key
-        self._jitter_cache_value = jitter
+        self._jitter_cache = (cache_key, jitter)
         return jitter, state
 
     # --- SNR ---------------------------------------------------------------------
 
     def snr_db(self, t: float, include_jitter: bool = True) -> np.ndarray:
         """True per-carrier, per-slot SNR (dB); shape (carriers, slots)."""
-        signature = self.load.state_signature(t)
-        key, cached = self._snr_cache
-        if key == signature and cached is not None:
-            base = cached
-        else:
-            loss = self.path_loss_db(t)
-            noise = self.noise_psd_dbm_hz(t)
-            base = (self.spec.tx_psd_dbm_hz - loss)[:, None] - noise
-            self._snr_cache = (signature, base)
+        base = self._base_snr_for(self.load.state_signature(t))
         if not include_jitter:
             return base
         jitter, _ = self.jitter_db(t)
         return base + jitter[None, :]
+
+    def _base_snr_for(self, signature: tuple) -> np.ndarray:
+        """Jitter-free SNR grid for an appliance signature (memoized; the
+        array is replaced on state change, never mutated)."""
+        key, cached = self._snr_cache
+        if key == signature and cached is not None:
+            return cached
+        loss = self._path_loss_for(signature)
+        noise = self._noise_grid(self.load.noise_psd_for(self.dst_outlet,
+                                                         signature))
+        base = (self.spec.tx_psd_dbm_hz - loss)[:, None] - noise
+        self._snr_cache = (signature, base)
+        return base
 
     def mean_snr_db(self, t: float) -> float:
         """Carrier/slot-average SNR (quick quality scalar)."""
@@ -280,34 +306,44 @@ class PlcChannel:
 
         The channel is piecewise constant on two timescales: the appliance
         on/off signature (base SNR, jitter parameters, impulsive rate) and
-        the jitter hold interval (the jitter draw). Every timestamp within
-        one (signature, interval) pair sees byte-identical SNR, so the
-        batch sampling path computes each group's grids once and fans the
+        the jitter hold interval (the jitter draw). The grid's signatures
+        come from one :meth:`ElectricalLoad.state_matrix` call, and each
+        distinct one is resolved once. Every timestamp within one
+        (signature, interval) pair sees byte-identical SNR, so the batch
+        sampling path computes each group's grids once and fans the
         results back out. Groups are returned in first-appearance order;
         their ``indices`` partition ``range(len(ts))``.
         """
         ts = np.asarray(ts, dtype=float)
-        sig_ids: Dict[tuple, int] = {}
+        sig_ids: Dict[bytes, int] = {}
         bases: list = []
         states: list = []
         rates: list = []
+        sig_of = np.empty(len(ts), dtype=np.intp)
+        for i, row in enumerate(self.load.state_matrix(ts)):
+            row_key = row.tobytes()
+            sid = sig_ids.get(row_key)
+            if sid is None:
+                sid = len(bases)
+                sig_ids[row_key] = sid
+                signature = tuple(row.tolist())
+                rate = self.load.impulsive_event_rate_for(self.dst_outlet,
+                                                          signature)
+                # Read through snr_db, the channel's one SNR entry point
+                # (one more signature evaluation per distinct signature).
+                # Its memoized arrays are replaced, never mutated, on state
+                # change, so holding references across groups is safe.
+                bases.append(self.snr_db(float(ts[i]), include_jitter=False))
+                states.append(self._jitter_state(signature, rate))
+                rates.append(rate)
+            sig_of[i] = sid
+        holds = np.array([state.hold_time_s for state in states])
+        # int(t / hold) per timestamp: float64 division, truncated.
+        intervals = (ts / holds[sig_of]).astype(np.int64)
         group_ids: Dict[Tuple[int, int], int] = {}
         group_keys: list = []
         members: list = []
-        for i, t in enumerate(ts):
-            t = float(t)
-            signature = self.load.state_signature(t)
-            sid = sig_ids.get(signature)
-            if sid is None:
-                sid = len(bases)
-                sig_ids[signature] = sid
-                # The cached arrays are replaced (never mutated) on state
-                # change, so holding references across groups is safe.
-                bases.append(self.snr_db(t, include_jitter=False))
-                states.append(self.jitter_state(t))
-                rates.append(self.load.impulsive_event_rate_at(
-                    self.dst_outlet, t))
-            key = (sid, int(t / states[sid].hold_time_s))
+        for i, key in enumerate(zip(sig_of.tolist(), intervals.tolist())):
             gid = group_ids.get(key)
             if gid is None:
                 gid = len(group_keys)
@@ -324,7 +360,8 @@ class PlcChannel:
                 indices=np.asarray(members[g], dtype=np.intp),
                 base_snr_db=bases[sid],
                 snr_db=bases[sid] + jitter[None, :],
-                impulsive_rate_hz=rates[sid]))
+                impulsive_rate_hz=rates[sid],
+                signature_index=sid))
         return groups
 
     def is_usable(self, t: float, min_mean_snr_db: float = -2.0) -> bool:

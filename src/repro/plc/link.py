@@ -91,18 +91,12 @@ class PlcLink(BatchSamplingMixin):
 
     # --- PB errors -----------------------------------------------------------------
 
-    def _pb_err_from_grids(self, base_snr_db: np.ndarray,
-                           snr_db: np.ndarray,
-                           impulsive_rate_hz: float) -> float:
-        """Realised PBerr given the smoothed and the jittered SNR grids."""
-        bits = np.minimum(phy.select_bits(base_snr_db,
-                                          phy.DEFAULT_BACKOFF_DB),
-                          self.spec.max_modulation_bits)
-        per_slot = [
-            phy.pb_error_probability(snr_db[:, s], bits[:, s],
-                                     impulsive_rate_hz)
-            for s in range(self.spec.num_slots)]
-        return float(np.mean(per_slot))
+    @staticmethod
+    def _realized_pb_err(tone_map_bits: np.ndarray, snr_db: np.ndarray,
+                         impulsive_rate_hz: float) -> float:
+        """Slot-averaged PBerr of a tone map's bits under an SNR grid."""
+        return float(np.mean(phy.pb_error_per_slot(
+            snr_db, tone_map_bits, impulsive_rate_hz)))
 
     def pb_err(self, t: float) -> float:
         """Realised PB error rate under tracked tone maps (``ampstat``).
@@ -112,8 +106,9 @@ class PlcLink(BatchSamplingMixin):
         currently-jittered SNR — so noisy links show elevated PBerr even
         though their tone maps target the same error rate (Fig. 7 right).
         """
-        return self._pb_err_from_grids(
-            self.channel.snr_db(t, include_jitter=False),
+        return self._realized_pb_err(
+            phy.bit_loading(self.channel.snr_db(t, include_jitter=False),
+                            self.spec),
             self.channel.snr_db(t),
             self.channel.load.impulsive_event_rate_at(
                 self.channel.dst_outlet, t))
@@ -189,7 +184,9 @@ class PlcLink(BatchSamplingMixin):
 
         Runs the PHY/MAC chain once per (appliance signature, jitter
         interval) group — the timescales on which the channel actually
-        changes — and fans the values back out to every timestamp.
+        changes — and fans the values back out to every timestamp. The
+        tone map's bits depend on the signature alone, so they are loaded
+        once per signature.
         """
         ts = np.asarray(ts, dtype=float)
         self.metrics.inc("medium.plc.series_calls")
@@ -202,13 +199,18 @@ class PlcLink(BatchSamplingMixin):
             name=self.name, medium=self.medium)
         data = series.data
         data["time"] = ts
+        tone_map_bits: dict = {}
         for group in self.channel.snr_series_groups(ts):
             per_slot = phy.ble_from_snr(
                 group.snr_db, self.spec,
                 impulsive_rate_hz=group.impulsive_rate_hz)
             avg_ble = float(np.mean(per_slot))
-            pb = self._pb_err_from_grids(group.base_snr_db, group.snr_db,
-                                         group.impulsive_rate_hz)
+            bits = tone_map_bits.get(group.signature_index)
+            if bits is None:
+                bits = phy.bit_loading(group.base_snr_db, self.spec)
+                tone_map_bits[group.signature_index] = bits
+            pb = self._realized_pb_err(bits, group.snr_db,
+                                       group.impulsive_rate_hz)
             residual = max(0.0, pb - self.spec.target_pb_error)
             thr = self._throughput_model.throughput_bps(avg_ble, residual)
             idx = group.indices

@@ -51,10 +51,9 @@ class ToneMap:
     symbol_duration_s: float
 
     def __post_init__(self) -> None:
-        totals = self.bits.sum(axis=0).astype(float)
-        per_slot = np.array([
-            phy.ble_bps(b, self.fec_rate, self.pb_err, self.symbol_duration_s)
-            for b in totals])
+        per_slot = phy.ble_bps(self.bits.sum(axis=0).astype(float),
+                               self.fec_rate, self.pb_err,
+                               self.symbol_duration_s)
         # Frozen dataclass: stash derived values via object.__setattr__.
         object.__setattr__(self, "_ble_per_slot", per_slot)
 
@@ -81,15 +80,11 @@ def generate_tone_map(channel: PlcChannel, t: float, tmi: int,
     spec = channel.spec
     snr = (snr_override if snr_override is not None
            else channel.snr_db(t))
-    bits = np.minimum(phy.select_bits(snr, backoff_db),
-                      spec.max_modulation_bits)
+    bits = phy.bit_loading(snr, spec, backoff_db)
     impulse_rate = channel.load.impulsive_event_rate_at(channel.dst_outlet, t)
-    pb_errs = [
-        phy.pb_error_probability(snr[:, s], bits[:, s], impulse_rate)
-        for s in range(spec.num_slots)]
     # Definition 1: one PBerr value is embedded — the expected rate for the
     # link, i.e. the slot average at generation time.
-    pb_err = float(np.mean(pb_errs))
+    pb_err = float(np.mean(phy.pb_error_per_slot(snr, bits, impulse_rate)))
     pb_err = max(pb_err, spec.target_pb_error * 0.25)
     return ToneMap(tmi=tmi, bits=bits, fec_rate=spec.fec_rate, pb_err=pb_err,
                    created_at=t, symbol_duration_s=spec.symbol_duration_s)
@@ -154,11 +149,8 @@ class ToneMapProcess:
         snr = self.channel.snr_db(t)
         impulse_rate = self.channel.load.impulsive_event_rate_at(
             self.channel.dst_outlet, t)
-        per_slot = [
-            phy.pb_error_probability(snr[:, s], self.tone_map.bits[:, s],
-                                     impulse_rate)
-            for s in range(self.spec.num_slots)]
-        return float(np.mean(per_slot))
+        return float(np.mean(phy.pb_error_per_slot(
+            snr, self.tone_map.bits, impulse_rate)))
 
     def _regenerate(self, t: float, reason: str) -> None:
         self.tone_map = generate_tone_map(

@@ -47,7 +47,7 @@ def mw_to_dbm(mw: float) -> float:
     return 10.0 * np.log10(mw)
 
 
-@dataclass
+@dataclass(frozen=True)
 class _NoiseCacheEntry:
     signature: Tuple[bool, ...]
     per_slot_dbm_hz: np.ndarray  # shape (num_slots,)
@@ -70,10 +70,12 @@ class ElectricalLoad:
         self.num_slots = num_slots
         self._distance_cache: Dict[Tuple[str, str], float] = {}
         self._noise_cache: Dict[str, _NoiseCacheEntry] = {}
-        # Static per-path geometry: (src, dst) -> (appliance, extra_m) pairs.
-        self._tap_geometry_cache: Dict[Tuple[str, str],
-                                       List[Tuple[ApplianceInstance,
-                                                  float]]] = {}
+        # Static per-path geometry: (src, dst) -> (index, appliance,
+        # extra_m) triples. Forks share the load: every memo here is an
+        # immutable value written with one insert.
+        self._tap_geometry_cache: Dict[
+            Tuple[str, str], Tuple[Tuple[int, ApplianceInstance, float],
+                                   ...]] = {}
         # Pre-normalised slot profiles, shape (n_appliances, num_slots).
         self._slot_profiles = np.array(
             [a.kind.slot_noise_multipliers() for a in self.appliances]
@@ -84,14 +86,21 @@ class ElectricalLoad:
     # --- appliance state ------------------------------------------------------
 
     def state_signature(self, t: float) -> Tuple[bool, ...]:
-        """On/off vector of all appliances at ``t`` (sorted by instance)."""
+        """On/off vector of all appliances at ``t`` (sorted by instance):
+        the one-row view of :meth:`state_matrix`."""
         return self.activity.state_signature(self.appliances, t)
 
+    def state_matrix(self, ts) -> np.ndarray:
+        """On/off state of every appliance at every instant of ``ts``:
+        bool, shape ``(len(ts), n_appliances)``, one signature per row."""
+        return self.activity.state_matrix(self.appliances, ts)
+
     def active_appliances(self, t: float) -> List[ApplianceInstance]:
-        return [a for a in self.appliances if self.activity.is_on(a, t)]
+        signature = self.state_signature(t)
+        return [a for a, on in zip(self.appliances, signature) if on]
 
     def active_count(self, t: float) -> int:
-        return self.activity.active_count(self.appliances, t)
+        return sum(self.state_signature(t))
 
     # --- noise ------------------------------------------------------------------
 
@@ -119,7 +128,11 @@ class ElectricalLoad:
         """
         if outlet_id not in self.grid:
             raise KeyError(f"unknown outlet {outlet_id!r}")
-        signature = self.state_signature(t)
+        return self.noise_psd_for(outlet_id, self.state_signature(t))
+
+    def noise_psd_for(self, outlet_id: str,
+                      signature: Tuple[bool, ...]) -> np.ndarray:
+        """:meth:`noise_psd_at` for an already-resolved state signature."""
         cached = self._noise_cache.get(outlet_id)
         if cached is not None and cached.signature == signature:
             return cached.per_slot_dbm_hz
@@ -142,8 +155,17 @@ class ElectricalLoad:
         Distance-weighted sum of active appliances' impulsive rates; feeds the
         bursty-error model in the channel estimator.
         """
+        return self.impulsive_event_rate_for(outlet_id,
+                                             self.state_signature(t))
+
+    def impulsive_event_rate_for(self, outlet_id: str,
+                                 signature: Tuple[bool, ...]) -> float:
+        """:meth:`impulsive_event_rate_at` for a resolved signature (a
+        sequential sum, in appliance order)."""
         rate = 0.0
-        for appliance in self.active_appliances(t):
+        for i, appliance in enumerate(self.appliances):
+            if not signature[i]:
+                continue
             d = self._distance(appliance.outlet_id, outlet_id)
             if not np.isfinite(d):
                 continue
@@ -162,8 +184,17 @@ class ElectricalLoad:
         ``extra_path_metres`` is the additional cable length of the reflected
         path (twice the branch stub length). The geometry (which appliances
         tap the path, and where) is static and cached; only the powered-on
-        flag is re-evaluated per call.
+        flag is read from the signature at ``t``.
         """
+        return self.reflection_taps_for(src_outlet, dst_outlet,
+                                        self.state_signature(t),
+                                        max_branch_length)
+
+    def reflection_taps_for(self, src_outlet: str, dst_outlet: str,
+                            signature: Tuple[bool, ...],
+                            max_branch_length: float = 25.0
+                            ) -> List[Tuple[ApplianceInstance, float, bool]]:
+        """:meth:`reflection_taps` for an already-resolved signature."""
         key = (src_outlet, dst_outlet)
         geometry = self._tap_geometry_cache.get(key)
         if geometry is None:
@@ -173,7 +204,7 @@ class ElectricalLoad:
                               for br in branches}
             on_path = set(self.grid.signal_path(src_outlet, dst_outlet))
             geometry = []
-            for appliance in self.appliances:
+            for i, appliance in enumerate(self.appliances):
                 stub = branch_end_len.get(appliance.outlet_id)
                 if stub is None:
                     # Appliance on the path itself: reflection with no extra
@@ -182,7 +213,8 @@ class ElectricalLoad:
                         stub = 1.0
                     else:
                         continue
-                geometry.append((appliance, 2.0 * stub))
+                geometry.append((i, appliance, 2.0 * stub))
+            geometry = tuple(geometry)
             self._tap_geometry_cache[key] = geometry
-        return [(appliance, extra, self.activity.is_on(appliance, t))
-                for appliance, extra in geometry]
+        return [(appliance, extra, signature[i])
+                for i, appliance, extra in geometry]

@@ -94,16 +94,26 @@ class MainsClock:
         """True on weekdays between 08:00 and 18:00 (office building)."""
         return (not self.is_weekend(t)) and 8.0 <= self.hour_of_day(t) < 18.0
 
-    def is_working_hours_series(self, ts) -> np.ndarray:
-        """Vectorized :meth:`is_working_hours` over a time array.
+    # Vectorized views over a time array. They match the scalar methods
+    # exactly: ``%``/``//`` on float64 arrays compute the same values as
+    # Python-float arithmetic on each element.
 
-        Matches the scalar method exactly: ``%``/``//`` on float64 arrays
-        compute the same values as Python-float arithmetic on each element.
-        """
-        ts = np.asarray(ts, dtype=float)
-        hours = (ts % DAY) / HOUR
-        weekdays = (ts % WEEK) // DAY
-        return (weekdays < 5) & (hours >= 8.0) & (hours < 18.0)
+    def hour_of_day_series(self, ts) -> np.ndarray:
+        """Vectorized :meth:`hour_of_day`."""
+        return (np.asarray(ts, dtype=float) % DAY) / HOUR
+
+    def day_index_series(self, ts) -> np.ndarray:
+        """Vectorized :meth:`day_index` (int64)."""
+        return (np.asarray(ts, dtype=float) // DAY).astype(np.int64)
+
+    def is_weekend_series(self, ts) -> np.ndarray:
+        """Vectorized :meth:`is_weekend`."""
+        return (np.asarray(ts, dtype=float) % WEEK) // DAY >= 5
+
+    def is_working_hours_series(self, ts) -> np.ndarray:
+        """Vectorized :meth:`is_working_hours`."""
+        hours = self.hour_of_day_series(ts)
+        return ~self.is_weekend_series(ts) & (hours >= 8.0) & (hours < 18.0)
 
     @staticmethod
     def at(day: int = 0, hour: float = 0.0) -> float:
