@@ -11,6 +11,8 @@ paper's link 0-4 had WiFi ≈ 12 Mbps vs PLC ≈ 35); we select such a pair
 from the testbed the same way the authors picked theirs.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 
 from repro.analysis.reporting import format_table
@@ -25,13 +27,19 @@ RIGHT_PANEL_LINKS = [(0, 9), (0, 5), (9, 0), (9, 6), (9, 7), (3, 9),
 
 
 class _HybridThroughput:
-    """Adapter: expose the bonded pair as throughput_bps(t) for iperf."""
+    """Adapter: expose the bonded pair's goodput to iperf, as
+    ``throughput_bps(t)`` and as a ``sample_series(ts)`` throughput
+    column."""
 
     def __init__(self, device):
         self.device = device
 
     def throughput_bps(self, t):
         return self.device.hybrid_goodput_bps(t)
+
+    def sample_series(self, ts):
+        return SimpleNamespace(throughput_bps=np.array(
+            [self.throughput_bps(float(t)) for t in ts]))
 
 
 def _mean_thr(link, t0, n=10, step=0.5):

@@ -27,10 +27,11 @@ literature it cites, [15]):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 
+from repro.powergrid.appliances import ApplianceType
 from repro.powergrid.load import (
     BACKGROUND_NOISE_DBM_HZ,
     ElectricalLoad,
@@ -69,6 +70,27 @@ LOCAL_LOAD_RADIUS_M = 8.0
 #: long* paths (many rooms away) lossy even though bare cable is nearly
 #: transparent.
 JUNCTION_LOSS_DB = 2.1
+
+
+class _Tap(NamedTuple):
+    """One reflection point of a direction, as far as it is static."""
+
+    #: Position of the tapping appliance in the load (and its signature).
+    index: int
+    kind: ApplianceType
+    #: Cable metres from the appliance to the receiver.
+    rx_distance: float
+    #: Reflected-path length: direct path + stub round trip + the fixed
+    #: per-appliance electrical-length spread.
+    path_length: float
+
+
+class _DirectionGeometry(NamedTuple):
+    """The static multipath geometry of one channel direction."""
+
+    direct_m: float
+    junctions: int
+    taps: Tuple[_Tap, ...]
 
 
 @dataclass(frozen=True)
@@ -128,10 +150,12 @@ class PlcChannel:
         if rng.uniform() < 0.3:
             self._direction_loss_db += float(rng.uniform(1.5, 5.5))
         self._connected = load.grid.connected(src_outlet, dst_outlet)
-        # Memos keyed by appliance on/off signature, and the jitter memo
-        # keyed by (hold interval, sigma). Forks share the channel across
-        # threads, so each memo is one (key, value) tuple: written with
-        # one assignment, read once.
+        # The direction's static geometry, resolved on first use. Memos
+        # keyed by appliance on/off signature, and the jitter memo keyed
+        # by (hold interval, jitter state). Forks share the channel across
+        # threads, so each memo is one immutable value (the keyed ones a
+        # (key, value) tuple): written with one assignment, read once.
+        self._geometry: Optional[_DirectionGeometry] = None
         self._pathloss_cache: Tuple[Optional[tuple], Optional[np.ndarray]] = (
             None, None)
         self._snr_cache: Tuple[Optional[tuple], Optional[np.ndarray]] = (
@@ -155,42 +179,61 @@ class PlcChannel:
         self._pathloss_cache = (signature, loss)
         return loss
 
-    def _compute_path_loss(self, signature: tuple) -> np.ndarray:
+    def _resolve_geometry(self) -> _DirectionGeometry:
+        """Direct distance, junction count and per-tap geometry of this
+        direction: everything in the path loss that no appliance state
+        changes."""
         grid = self.load.grid
         d_direct = grid.electrical_distance(self.src_outlet, self.dst_outlet)
-        taps = self.load.reflection_taps_for(self.src_outlet,
-                                             self.dst_outlet, signature)
-
-        f = self._freqs
-        # Direct path: cable loss, junction splits, tap through-losses.
         path = grid.signal_path(self.src_outlet, self.dst_outlet)
         n_junctions = sum(1 for node in path[1:-1]
                           if grid.degree(node) > 2)
-        through = 10.0 ** (-JUNCTION_LOSS_DB * n_junctions / 20.0)
+        taps = self.load.tap_geometry(self.src_outlet, self.dst_outlet)
+        # A fixed per-appliance electrical-length spread (in-wall routing
+        # detail) decorrelates same-room reflections — without it many
+        # comparable phasors average into an unrealistically flat channel.
+        names = [f"plc.tap-length.{appliance.instance_id}"
+                 for _, appliance, _ in taps]
+        resolved = []
+        for k, rng in self._streams.fresh_batch(names):
+            i, appliance, extra = taps[k]
+            resolved.append(_Tap(
+                index=i, kind=appliance.kind,
+                rx_distance=self.load.cable_distance(appliance.outlet_id,
+                                                     self.dst_outlet),
+                path_length=d_direct + extra + float(rng.uniform(0.0, 6.0))))
+        geometry = _DirectionGeometry(d_direct, n_junctions, tuple(resolved))
+        self._geometry = geometry
+        return geometry
+
+    def _compute_path_loss(self, signature: tuple) -> np.ndarray:
+        geometry = self._geometry
+        if geometry is None:
+            geometry = self._resolve_geometry()
+        d_direct = geometry.direct_m
+        f = self._freqs
+        # Direct path: cable loss, junction splits, tap through-losses.
+        through = 10.0 ** (-JUNCTION_LOSS_DB * geometry.junctions / 20.0)
         local_load_rx = 0.0
-        for appliance, extra, powered_on in taps:
-            gamma = appliance.kind.reflection_coefficient(powered_on)
+        for tap in geometry.taps:
+            powered_on = signature[tap.index]
+            gamma = tap.kind.reflection_coefficient(powered_on)
             drain = 0.45 if powered_on else 0.1
             through *= np.sqrt(max(1e-6, 1.0 - drain * gamma ** 2))
-            d_rx = self.load.cable_distance(appliance.outlet_id, self.dst_outlet)
-            if d_rx <= LOCAL_LOAD_RADIUS_M and powered_on:
+            if tap.rx_distance <= LOCAL_LOAD_RADIUS_M and powered_on:
                 local_load_rx += gamma
         h = through * np.exp(-self._alpha * d_direct) * np.exp(
             -2j * np.pi * f * d_direct / PROPAGATION_SPEED)
         # Reflected paths: one per tap, longer by the round trip on the stub
-        # plus a fixed per-appliance electrical-length spread (in-wall routing
-        # detail) that decorrelates same-room reflections — without it many
-        # comparable phasors average into an unrealistically flat channel.
-        for appliance, extra, powered_on in taps:
-            gamma = appliance.kind.reflection_coefficient(powered_on)
+        # plus the tap's fixed spread.
+        for tap in geometry.taps:
+            gamma = tap.kind.reflection_coefficient(signature[tap.index])
             if gamma < 1e-3:
                 continue
-            spread_rng = self._streams.fresh(
-                f"plc.tap-length.{appliance.instance_id}")
-            d_path = d_direct + extra + float(spread_rng.uniform(0.0, 6.0))
-            amp = 0.85 * gamma * through * np.exp(-self._alpha * d_path)
+            amp = 0.85 * gamma * through * np.exp(
+                -self._alpha * tap.path_length)
             h += amp * np.exp(
-                -2j * np.pi * f * d_path / PROPAGATION_SPEED)
+                -2j * np.pi * f * tap.path_length / PROPAGATION_SPEED)
         power = np.abs(h) ** 2
         loss_db = -10.0 * np.log10(np.maximum(power, 1e-20))
         # Coupler losses + receiver-side loading (asymmetry mechanism #2) +
@@ -265,7 +308,7 @@ class PlcChannel:
         """
         state = self.jitter_state(t)
         index = int(t / state.hold_time_s)
-        cache_key = (index, round(state.sigma_db, 6))
+        cache_key = (index, state)
         key, cached = self._jitter_cache
         if key == cache_key:
             return cached, state

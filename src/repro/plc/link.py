@@ -186,7 +186,7 @@ class PlcLink(BatchSamplingMixin):
         interval) group — the timescales on which the channel actually
         changes — and fans the values back out to every timestamp. The
         tone map's bits depend on the signature alone, so they are loaded
-        once per signature.
+        and laid out for PB-error evaluation once per signature.
         """
         ts = np.asarray(ts, dtype=float)
         self.metrics.inc("medium.plc.series_calls")
@@ -199,18 +199,21 @@ class PlcLink(BatchSamplingMixin):
             name=self.name, medium=self.medium)
         data = series.data
         data["time"] = ts
-        tone_map_bits: dict = {}
+        tone_maps: dict = {}
         for group in self.channel.snr_series_groups(ts):
             per_slot = phy.ble_from_snr(
                 group.snr_db, self.spec,
                 impulsive_rate_hz=group.impulsive_rate_hz)
             avg_ble = float(np.mean(per_slot))
-            bits = tone_map_bits.get(group.signature_index)
-            if bits is None:
-                bits = phy.bit_loading(group.base_snr_db, self.spec)
-                tone_map_bits[group.signature_index] = bits
-            pb = self._realized_pb_err(bits, group.snr_db,
-                                       group.impulsive_rate_hz)
+            tone_map = tone_maps.get(group.signature_index)
+            if tone_map is None:
+                tone_map = phy.ToneMapSlots(
+                    phy.bit_loading(group.base_snr_db, self.spec))
+                tone_maps[group.signature_index] = tone_map
+            # The realised PBerr: this signature's tone map judged
+            # against the group's jittered grid.
+            pb = float(np.mean(tone_map.pb_error_per_slot(
+                group.snr_db, group.impulsive_rate_hz)))
             residual = max(0.0, pb - self.spec.target_pb_error)
             thr = self._throughput_model.throughput_bps(avg_ble, residual)
             idx = group.indices

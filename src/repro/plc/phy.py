@@ -104,27 +104,56 @@ def pb_error_per_slot(snr_db: np.ndarray, bits: np.ndarray,
     exact sum a one-slot evaluation computes (a masked or segmented
     reduction would reorder numpy's pairwise sum).
     """
-    bits = np.asarray(bits)
-    loaded = bits > 0
-    counts = _slot_totals(loaded)
-    # Slot-major compaction: each slot's loaded margins, in carrier order.
-    compact = modulation_margin_db(snr_db, bits).T[loaded.T]
-    sums = np.zeros(len(counts))
-    start = 0
-    for s, end in enumerate(np.cumsum(counts).tolist()):
-        if end > start:
-            sums[s] = np.add.reduce(compact[start:end])
-        start = end
-    mean_margin = sums / np.maximum(counts, 1)
-    # Logistic centred so margin == backoff target gives ~the HPAV target.
-    p_noise = 1.0 / (1.0 + np.exp(_PBERR_STEEPNESS * (mean_margin + 2.0)))
-    # Impulses: ~120 µs impulses hit a 46.52 µs symbol stream; a PB spans a
-    # couple of symbols at typical loadings.
-    p_impulse = 1.0 - np.exp(-impulsive_rate_hz * 250e-6)
-    p = p_noise + p_impulse - p_noise * p_impulse
-    p = np.minimum(np.maximum(p, floor), 0.95)
-    p[counts == 0] = 1.0
-    return p
+    return ToneMapSlots(bits).pb_error_per_slot(snr_db, impulsive_rate_hz,
+                                                floor)
+
+
+class ToneMapSlots:
+    """A tone map's bits, laid out for :func:`pb_error_per_slot`.
+
+    Which carriers are loaded, in which slot, and against which
+    modulation threshold depends on the bits alone; only the margins
+    depend on the SNR. A tone map judged against many SNR grids (one per
+    jitter interval) keeps its layout, so each evaluation only gathers
+    the loaded carriers' SNR.
+    """
+
+    __slots__ = ("_loaded_t", "_counts", "_thresholds")
+
+    def __init__(self, bits: np.ndarray):
+        bits = np.asarray(bits)
+        loaded = bits > 0
+        self._counts = _slot_totals(loaded)
+        # Slot-major: each slot's loaded carriers, in carrier order.
+        self._loaded_t = loaded.T
+        self._thresholds = _THRESHOLD_BY_BITS[bits.T[self._loaded_t]]
+
+    def pb_error_per_slot(self, snr_db: np.ndarray,
+                          impulsive_rate_hz: float = 0.0,
+                          floor: float = 5e-4) -> np.ndarray:
+        """:func:`pb_error_per_slot` of ``snr_db`` under these bits."""
+        counts = self._counts
+        # Each slot's loaded margins (:func:`modulation_margin_db`),
+        # compacted slot-major.
+        compact = (np.asarray(snr_db, dtype=float).T[self._loaded_t]
+                   - self._thresholds)
+        sums = np.zeros(len(counts))
+        start = 0
+        for s, end in enumerate(np.cumsum(counts).tolist()):
+            if end > start:
+                sums[s] = np.add.reduce(compact[start:end])
+            start = end
+        mean_margin = sums / np.maximum(counts, 1)
+        # Logistic centred so margin == backoff target gives ~the HPAV
+        # target.
+        p_noise = 1.0 / (1.0 + np.exp(_PBERR_STEEPNESS * (mean_margin + 2.0)))
+        # Impulses: ~120 µs impulses hit a 46.52 µs symbol stream; a PB
+        # spans a couple of symbols at typical loadings.
+        p_impulse = 1.0 - np.exp(-impulsive_rate_hz * 250e-6)
+        p = p_noise + p_impulse - p_noise * p_impulse
+        p = np.minimum(np.maximum(p, floor), 0.95)
+        p[counts == 0] = 1.0
+        return p
 
 
 def pb_error_probability(snr_db: np.ndarray, bits: np.ndarray,

@@ -11,13 +11,16 @@ It answers, for any simulated time:
 
 Noise propagation uses a simple exponential cable loss so that an appliance
 two rooms away contributes far less noise than one sharing the receiver's
-power strip.
+power strip. The wiring is static, so each receiver outlet resolves one
+row from its shortest-path tree: every connected appliance's noise
+injection after cable loss and its impulse weight. Per-signature queries
+only add up the powered-on entries of that row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -53,6 +56,21 @@ class _NoiseCacheEntry:
     per_slot_dbm_hz: np.ndarray  # shape (num_slots,)
 
 
+@dataclass(frozen=True)
+class _ReceiverRow:
+    """What every appliance contributes at one receiver outlet.
+
+    The fields are aligned, in appliance order, over the appliances
+    connected to the receiver: their indices, their per-slot noise
+    injection after cable loss (mW/Hz, read-only, shape (n, num_slots))
+    and their distance-weighted impulsive rate (events/s).
+    """
+
+    indices: Tuple[int, ...]
+    noise_mw: np.ndarray
+    impulse_hz: Tuple[float, ...]
+
+
 class ElectricalLoad:
     """Queryable state of the electrical environment."""
 
@@ -68,14 +86,10 @@ class ElectricalLoad:
         self.appliances = list(appliances)
         self.activity = activity
         self.num_slots = num_slots
-        self._distance_cache: Dict[Tuple[str, str], float] = {}
         self._noise_cache: Dict[str, _NoiseCacheEntry] = {}
-        # Static per-path geometry: (src, dst) -> (index, appliance,
-        # extra_m) triples. Forks share the load: every memo here is an
-        # immutable value written with one insert.
-        self._tap_geometry_cache: Dict[
-            Tuple[str, str], Tuple[Tuple[int, ApplianceInstance, float],
-                                   ...]] = {}
+        # Receiver outlet -> its static row. Forks share the load: every
+        # memo here is an immutable value written with one insert.
+        self._rows: Dict[str, _ReceiverRow] = {}
         # Pre-normalised slot profiles, shape (n_appliances, num_slots).
         self._slot_profiles = np.array(
             [a.kind.slot_noise_multipliers() for a in self.appliances]
@@ -104,19 +118,41 @@ class ElectricalLoad:
 
     # --- noise ------------------------------------------------------------------
 
-    def _distance(self, a: str, b: str) -> float:
-        key = (a, b) if a <= b else (b, a)
-        if key not in self._distance_cache:
-            if self.grid.connected(a, b):
-                d = self.grid.electrical_distance(a, b)
-            else:
-                d = float("inf")
-            self._distance_cache[key] = d
-        return self._distance_cache[key]
+    def _row(self, outlet_id: str) -> _ReceiverRow:
+        """The receiver row of ``outlet_id``, resolved on first use."""
+        row = self._rows.get(outlet_id)
+        if row is None:
+            distance = self.grid.distances_from(outlet_id)
+            indices = [i for i, appliance in enumerate(self.appliances)
+                       if appliance.outlet_id in distance]
+            noise_mw = np.empty((len(indices), self.num_slots))
+            impulse_hz = []
+            for k, i in enumerate(indices):
+                appliance = self.appliances[i]
+                d = float(distance[appliance.outlet_id])
+                loss = 10.0 ** (-NOISE_CABLE_LOSS_DB_PER_M * d / 10.0)
+                noise_mw[k] = (self._base_psd_mw[i] * loss
+                               * self._slot_profiles[i])
+                weight = 10.0 ** (-NOISE_CABLE_LOSS_DB_PER_M * d / 20.0)
+                impulse_hz.append(appliance.kind.impulsive_rate_hz * weight)
+            noise_mw.flags.writeable = False
+            row = _ReceiverRow(tuple(indices), noise_mw, tuple(impulse_hz))
+            self._rows[outlet_id] = row
+        return row
 
     def cable_distance(self, a: str, b: str) -> float:
-        """Cached cable distance in metres (inf when not connected)."""
-        return self._distance(a, b)
+        """Cable distance in metres from outlet ``a`` to receiver ``b``
+        (inf when not connected), read from ``b``'s shortest-path tree.
+
+        The distance is receiver-rooted: the route's lengths are summed
+        from ``b``, as in the noise and impulse rows. It equals
+        ``cable_distance(b, a)`` when the lengths sum exactly in either
+        order (on the office floors every cable length is a multiple of
+        0.5 m); other lengths may leave the two a rounding step apart.
+        """
+        if not self.grid.connected(b, a):
+            return float("inf")
+        return self.grid.electrical_distance(b, a)
 
     def noise_psd_at(self, outlet_id: str, t: float) -> np.ndarray:
         """Noise PSD heard at ``outlet_id``, per tone-map slot, in dBm/Hz.
@@ -136,15 +172,11 @@ class ElectricalLoad:
         cached = self._noise_cache.get(outlet_id)
         if cached is not None and cached.signature == signature:
             return cached.per_slot_dbm_hz
+        row = self._row(outlet_id)
         total_mw = np.full(self.num_slots, dbm_to_mw(BACKGROUND_NOISE_DBM_HZ))
-        for i, appliance in enumerate(self.appliances):
-            if not signature[i]:
-                continue
-            d = self._distance(appliance.outlet_id, outlet_id)
-            if not np.isfinite(d):
-                continue
-            loss = 10.0 ** (-NOISE_CABLE_LOSS_DB_PER_M * d / 10.0)
-            total_mw += self._base_psd_mw[i] * loss * self._slot_profiles[i]
+        for i, injection in zip(row.indices, row.noise_mw):
+            if signature[i]:
+                total_mw += injection
         per_slot = 10.0 * np.log10(total_mw)
         self._noise_cache[outlet_id] = _NoiseCacheEntry(signature, per_slot)
         return per_slot
@@ -162,59 +194,41 @@ class ElectricalLoad:
                                  signature: Tuple[bool, ...]) -> float:
         """:meth:`impulsive_event_rate_at` for a resolved signature (a
         sequential sum, in appliance order)."""
+        row = self._row(outlet_id)
         rate = 0.0
-        for i, appliance in enumerate(self.appliances):
-            if not signature[i]:
-                continue
-            d = self._distance(appliance.outlet_id, outlet_id)
-            if not np.isfinite(d):
-                continue
-            weight = 10.0 ** (-NOISE_CABLE_LOSS_DB_PER_M * d / 20.0)
-            rate += appliance.kind.impulsive_rate_hz * weight
+        for i, term in zip(row.indices, row.impulse_hz):
+            if signature[i]:
+                rate += term
         return rate
 
     # --- taps / reflections ---------------------------------------------------------
 
-    def reflection_taps(self, src_outlet: str, dst_outlet: str, t: float,
-                        max_branch_length: float = 25.0
-                        ) -> List[Tuple[ApplianceInstance, float, bool]]:
+    def tap_geometry(self, src_outlet: str, dst_outlet: str,
+                     max_branch_length: float = 25.0
+                     ) -> List[Tuple[int, ApplianceInstance, float]]:
         """Appliances that act as reflection points for the src→dst path.
 
-        Returns ``(appliance, extra_path_metres, powered_on)`` triples where
-        ``extra_path_metres`` is the additional cable length of the reflected
-        path (twice the branch stub length). The geometry (which appliances
-        tap the path, and where) is static and cached; only the powered-on
-        flag is read from the signature at ``t``.
-        """
-        return self.reflection_taps_for(src_outlet, dst_outlet,
-                                        self.state_signature(t),
-                                        max_branch_length)
-
-    def reflection_taps_for(self, src_outlet: str, dst_outlet: str,
-                            signature: Tuple[bool, ...],
-                            max_branch_length: float = 25.0
-                            ) -> List[Tuple[ApplianceInstance, float, bool]]:
-        """:meth:`reflection_taps` for an already-resolved signature."""
-        key = (src_outlet, dst_outlet)
-        geometry = self._tap_geometry_cache.get(key)
-        if geometry is None:
-            branches = self.grid.tap_branches(src_outlet, dst_outlet,
-                                              max_branch_length)
-            branch_end_len = {br.end_outlet: br.branch_length
-                              for br in branches}
-            on_path = set(self.grid.signal_path(src_outlet, dst_outlet))
-            geometry = []
-            for i, appliance in enumerate(self.appliances):
-                stub = branch_end_len.get(appliance.outlet_id)
-                if stub is None:
-                    # Appliance on the path itself: reflection with no extra
-                    # delay beyond a minimal stub.
-                    if appliance.outlet_id in on_path:
-                        stub = 1.0
-                    else:
-                        continue
-                geometry.append((i, appliance, 2.0 * stub))
-            geometry = tuple(geometry)
-            self._tap_geometry_cache[key] = geometry
-        return [(appliance, extra, signature[i])
-                for i, appliance, extra in geometry]
+        Returns ``(appliance index, appliance, extra_path_metres)`` per
+        tap, in appliance order, where ``extra_path_metres`` is the
+        additional cable length of the reflected path (twice the branch
+        stub length). The geometry is static; whether a tap is powered on
+        is its entry in the state signature. Not memoized: each
+        :class:`~repro.plc.channel.PlcChannel` resolves its direction's
+        taps once and keeps them."""
+        branches = self.grid.tap_branches(src_outlet, dst_outlet,
+                                          max_branch_length)
+        branch_end_len = {br.end_outlet: br.branch_length
+                          for br in branches}
+        on_path = set(self.grid.signal_path(src_outlet, dst_outlet))
+        geometry = []
+        for i, appliance in enumerate(self.appliances):
+            stub = branch_end_len.get(appliance.outlet_id)
+            if stub is None:
+                # Appliance on the path itself: reflection with no extra
+                # delay beyond a minimal stub.
+                if appliance.outlet_id in on_path:
+                    stub = 1.0
+                else:
+                    continue
+            geometry.append((i, appliance, 2.0 * stub))
+        return geometry

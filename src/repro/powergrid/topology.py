@@ -18,12 +18,27 @@ The model needs three queries, all used by :mod:`repro.plc.channel`:
 Distances follow cable runs, *not* straight lines — the paper stresses that
 the two distribution boards of the floor are joined only in the basement,
 > 200 m of cable apart, which splits the testbed into two PLC networks.
+
+The wiring is static: only the appliances' on/off state changes (§6.3). So
+the grid resolves its geometry once per *source* outlet: the first query
+from an outlet runs one single-source Dijkstra search and keeps its
+distances and paths, and :meth:`~GridTopology.connected`,
+:meth:`~GridTopology.electrical_distance`,
+:meth:`~GridTopology.signal_path` and :meth:`~GridTopology.distances_from`
+answer from that tree. For unknown or unreachable outlets they raise the
+errors networkx's pairwise searches raise. Once a tree exists the wiring
+is fixed, and :meth:`~GridTopology.add_cable` refuses further cables, so
+no memo built on the trees (receiver rows, channel geometry) can go
+stale. On the office floor every cable length is a multiple of 0.5 m and
+the wiring is a tree, so a route sums to the same float in either
+direction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from dataclasses import dataclass
+from types import MappingProxyType
+from typing import Dict, Iterable, List, Mapping, NamedTuple, Tuple
 
 import networkx as nx
 
@@ -65,12 +80,23 @@ class TapBranch:
     branch_length: float
 
 
+class _ShortestPathTree(NamedTuple):
+    """Every shortest cable route from one source outlet (never mutated)."""
+
+    distance: Dict[str, float]
+    path: Dict[str, List[str]]
+
+
 class GridTopology:
     """The wiring graph of (part of) a building."""
 
     def __init__(self) -> None:
         self._graph = nx.Graph()
         self._outlets: Dict[str, Outlet] = {}
+        # Source outlet -> its shortest-path tree. Forks share the grid
+        # across threads: each tree is written with one insert and never
+        # mutated.
+        self._trees: Dict[str, _ShortestPathTree] = {}
 
     # --- construction --------------------------------------------------------
 
@@ -82,9 +108,19 @@ class GridTopology:
         return outlet
 
     def add_cable(self, a: str, b: str, length: float) -> None:
-        """Connect outlets ``a`` and ``b`` with ``length`` metres of cable."""
+        """Connect outlets ``a`` and ``b`` with ``length`` metres of cable.
+
+        A query sums a route's lengths from its source outlet, so a
+        length that is not an exact binary fraction (0.1 m, say) can
+        leave ``electrical_distance(a, b)`` and ``electrical_distance(b,
+        a)`` a rounding step apart; multiples of 0.5 m sum exactly.
+        """
         if length <= 0:
             raise ValueError(f"cable length must be positive, got {length}")
+        if self._trees:
+            raise RuntimeError(
+                "the wiring is fixed once its geometry has been queried: "
+                "add every cable before the first distance or path query")
         for end in (a, b):
             if end not in self._outlets:
                 raise KeyError(f"unknown outlet {end!r}")
@@ -113,18 +149,46 @@ class GridTopology:
         """Number of cable segments meeting at an outlet (junction order)."""
         return int(self._graph.degree(outlet_id))
 
+    def _tree(self, source: str) -> _ShortestPathTree:
+        """The memoized shortest-path tree rooted at ``source``."""
+        tree = self._trees.get(source)
+        if tree is None:
+            tree = _ShortestPathTree(*nx.single_source_dijkstra(
+                self._graph, source, weight="length"))
+            self._trees[source] = tree
+        return tree
+
+    def _check_ends(self, a: str, b: str) -> None:
+        """Raise networkx's error for an unknown end of a pairwise query."""
+        if a not in self._outlets:
+            raise nx.NodeNotFound(f"Source {a} is not in G")
+        if b not in self._outlets:
+            raise nx.NodeNotFound(f"Target {b} is not in G")
+
     def connected(self, a: str, b: str) -> bool:
         """Whether a conductive path exists between two outlets."""
-        return nx.has_path(self._graph, a, b)
+        self._check_ends(a, b)
+        return b in self._tree(a).distance
 
     def electrical_distance(self, a: str, b: str) -> float:
         """Shortest cable distance in metres between two outlets."""
-        return float(nx.shortest_path_length(
-            self._graph, a, b, weight="length"))
+        distance = self._tree(a).distance
+        if b not in distance:
+            raise nx.NetworkXNoPath(f"Node {b} not reachable from {a}")
+        return float(distance[b])
 
     def signal_path(self, a: str, b: str) -> List[str]:
         """Outlet sequence of the shortest cable route from ``a`` to ``b``."""
-        return list(nx.shortest_path(self._graph, a, b, weight="length"))
+        self._check_ends(a, b)
+        path = self._tree(a).path.get(b)
+        if path is None:
+            raise nx.NetworkXNoPath(f"No path between {a} and {b}.")
+        return list(path)
+
+    def distances_from(self, source: str) -> Mapping[str, float]:
+        """Cable metres from ``source`` to every outlet connected to it
+        (a read-only view; unreachable outlets are absent)."""
+        return MappingProxyType(self._tree(source).distance)
 
     def tap_branches(self, a: str, b: str,
                      max_branch_length: float = 60.0) -> List[TapBranch]:

@@ -67,6 +67,36 @@ def uint32_words(value: int) -> List[int]:
     return words
 
 
+def _hash_constants(init: int, mult: int, count: int):
+    """The ``(xor, mul)`` constants of ``count`` successive hashmix
+    calls, as two (count, 1) uint32 columns.
+
+    ``hash_const`` evolves identically for every key (its updates do not
+    depend on the data), so each call's constants are fixed in advance.
+    """
+    consts, value = [], init
+    for _ in range(count):
+        nxt = (value * mult) & _MASK32
+        consts.append((value, nxt))
+        value = nxt
+    xor, mul = np.array(consts, dtype=np.uint32).T[:, :, None]
+    return xor, mul
+
+
+#: Constants of the pool's hashmix calls, in numpy's call order: one per
+#: pool entry, then three per mixing source (one per destination).
+_POOL_XOR, _POOL_MUL = _hash_constants(_INIT_A, _MULT_A,
+                                       _POOL_SIZE * _POOL_SIZE)
+#: Constants of the output hashmix calls, one per 32-bit output word.
+_OUT_XOR, _OUT_MUL = _hash_constants(_INIT_B, _MULT_B, 2 * _POOL_SIZE)
+
+
+def _hashmix(values: np.ndarray, xor: np.ndarray,
+             mul: np.ndarray) -> np.ndarray:
+    values = (values ^ xor) * mul
+    return values ^ (values >> _XSHIFT)
+
+
 def seedseq_state_words(seed_words: List[int], keys: np.ndarray
                         ) -> Tuple[np.ndarray, ...]:
     """``SeedSequence([*seed_words, key]).generate_state(4, uint64)``,
@@ -76,49 +106,33 @@ def seedseq_state_words(seed_words: List[int], keys: np.ndarray
     Raises :class:`NotImplementedError` when the entropy does not fit the
     4-word pool (only possible for seeds wider than 96 bits) — callers
     fall back to the scalar path.
+
+    The pool is one (4, n) array. Within one mixing source, numpy's three
+    destination updates read only the source entry, which none of them
+    writes, so they run as one (3, n) step; every uint32 operation and
+    its order are numpy's.
     """
     keys = np.ascontiguousarray(keys, dtype=np.uint32)
-    entropy = [np.full(keys.shape, w, dtype=np.uint32) for w in seed_words]
-    entropy.append(keys)
-    if len(entropy) > _POOL_SIZE:
+    if len(seed_words) + 1 > _POOL_SIZE:
         raise NotImplementedError(
             "entropy wider than the SeedSequence pool; use the scalar path")
-
-    # ``hash_const`` evolves identically for every key (its updates do not
-    # depend on the data), so it stays a Python scalar threaded through
-    # the vectorized hash in numpy's exact operation order.
-    hash_const = _INIT_A
-
-    def hashmix(values: np.ndarray) -> np.ndarray:
-        nonlocal hash_const
-        values = values ^ np.uint32(hash_const)
-        hash_const = (hash_const * _MULT_A) & _MASK32
-        values = values * np.uint32(hash_const)
-        return values ^ (values >> _XSHIFT)
-
-    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        result = x * _MIX_MULT_L - y * _MIX_MULT_R
-        return result ^ (result >> _XSHIFT)
-
-    zero = np.zeros(keys.shape, dtype=np.uint32)
-    pool = [hashmix(entropy[i]) if i < len(entropy) else hashmix(zero)
-            for i in range(_POOL_SIZE)]
+    pool = np.zeros((_POOL_SIZE, keys.size), dtype=np.uint32)
+    pool[:len(seed_words)] = np.array(seed_words, dtype=np.uint32)[:, None]
+    pool[len(seed_words)] = keys
+    # Entropy (zero-padded) into the pool; len(entropy) <= pool size, so
+    # there is no remaining-entropy pass.
+    pool = _hashmix(pool, _POOL_XOR[:_POOL_SIZE], _POOL_MUL[:_POOL_SIZE])
+    call = _POOL_SIZE
     for i_src in range(_POOL_SIZE):
-        for i_dst in range(_POOL_SIZE):
-            if i_src != i_dst:
-                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
-    # len(entropy) <= pool size, so there is no remaining-entropy pass.
-
-    hash_const = _INIT_B
-    out32 = []
-    for i_dst in range(2 * _POOL_SIZE):
-        data = pool[i_dst % _POOL_SIZE] ^ np.uint32(hash_const)
-        hash_const = (hash_const * _MULT_B) & _MASK32
-        data = data * np.uint32(hash_const)
-        out32.append(data ^ (data >> _XSHIFT))
-    return tuple(out32[2 * i].astype(np.uint64)
-                 | (out32[2 * i + 1].astype(np.uint64) << np.uint64(32))
-                 for i in range(_POOL_SIZE))
+        dsts = [i for i in range(_POOL_SIZE) if i != i_src]
+        hashed = _hashmix(pool[i_src], _POOL_XOR[call:call + len(dsts)],
+                          _POOL_MUL[call:call + len(dsts)])
+        call += len(dsts)
+        mixed = pool[dsts] * _MIX_MULT_L - hashed * _MIX_MULT_R
+        pool[dsts] = mixed ^ (mixed >> _XSHIFT)
+    out32 = _hashmix(pool[[i % _POOL_SIZE for i in range(2 * _POOL_SIZE)]],
+                     _OUT_XOR, _OUT_MUL).astype(np.uint64)
+    return tuple(out32[0::2] | (out32[1::2] << np.uint64(32)))
 
 
 def pcg64_seed_states(seed: int, keys: np.ndarray

@@ -1,9 +1,11 @@
 """PLC channel model: attenuation, noise, asymmetry, jitter."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from repro.plc.channel import PlcChannel
+from repro.plc.channel import JitterState, PlcChannel
 from repro.plc.spec import HPAV
 from repro.powergrid.activity import OfficeActivityModel
 from repro.powergrid.appliances import ApplianceInstance
@@ -124,6 +126,25 @@ def test_jitter_changes_across_hold_intervals():
     j1, _ = ch.jitter_db(NOON)
     j2, _ = ch.jitter_db(NOON + 3 * state.hold_time_s)
     assert not np.allclose(j1, j2)
+
+
+def test_jitter_memo_is_keyed_by_the_whole_state():
+    """Two jitter states in one hold interval with the same sigma each
+    read their own draw, never the other's memoized one."""
+    ch = PlcChannel(_loaded_grid(), "o0", "o1", HPAV, RandomStreams(3))
+    calm = JitterState(sigma_db=0.04, hold_time_s=20.0, impulse_prob=0.0,
+                       impulse_depth_db=2.5)
+    dipped = dataclasses.replace(calm, impulse_prob=1.0)
+    t = 105.0
+    reads = []
+    for state in (calm, dipped):
+        ch.jitter_state = lambda _t, state=state: state
+        jitter, read_state = ch.jitter_db(t)
+        assert read_state == state
+        rng = RandomStreams(3).fresh(f"plc.jitter.{ch.name}.5")
+        assert jitter.tobytes() == ch._draw_jitter(rng, state).tobytes()
+        reads.append(jitter)
+    assert np.all(reads[1] < reads[0])
 
 
 def test_path_loss_reacts_to_appliance_switching():

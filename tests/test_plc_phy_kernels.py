@@ -3,10 +3,11 @@
 ``phy.pb_error_per_slot`` evaluates every tone-map slot of a
 (carriers, slots) grid in one pass; ``ble_from_snr``, the link's realised
 PBerr, ``generate_tone_map`` and ``ToneMapProcess.realized_pb_error``
-all go through it. The references below are the per-slot code those four
-call sites ran before (one ``pb_error_probability`` per slot, margins by
-sorted search), and every result must match them exactly, not
-approximately.
+all go through it. It lays the bits out as a ``phy.ToneMapSlots``,
+which the link keeps per tone map to judge it against many grids. The
+references below are the per-slot code those four call sites ran before
+(one ``pb_error_probability`` per slot, margins by sorted search), and
+every result must match them exactly, not approximately.
 """
 
 from __future__ import annotations
@@ -118,6 +119,20 @@ def test_pb_error_per_slot_equals_per_slot_loop(spec):
     for snr, bits, rate in random_grids(spec, seed=len(spec.name)):
         got = phy.pb_error_per_slot(snr, bits, rate)
         assert got.tolist() == ref_per_slot(snr, bits, rate)
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.name)
+def test_tone_map_slots_equal_per_slot_loop(spec):
+    """One tone map laid out once and judged against many grids gives the
+    per-slot loop's values, whatever the grid's memory order."""
+    grids = list(random_grids(spec, seed=5 + len(spec.name)))
+    for _, bits, _ in grids[::8]:
+        tone_map = phy.ToneMapSlots(bits)
+        for snr, _, rate in grids[::5]:
+            expected = ref_per_slot(snr, bits, rate)
+            assert tone_map.pb_error_per_slot(snr, rate).tolist() == expected
+            assert tone_map.pb_error_per_slot(
+                np.asfortranarray(snr), rate).tolist() == expected
 
 
 def test_slot_with_no_loaded_carrier_is_one():

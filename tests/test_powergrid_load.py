@@ -78,17 +78,25 @@ def test_cable_distance_caches_and_matches_grid(load):
     assert d1 == d2 == 29.0
 
 
+def _reflection_taps(load, src, dst, t):
+    """``(appliance, extra_path_metres, powered_on)`` per tap: the static
+    tap geometry, each tap's state read from the signature at ``t``."""
+    signature = load.state_signature(t)
+    return [(appliance, extra, signature[i])
+            for i, appliance, extra in load.tap_geometry(src, dst)]
+
+
 def test_reflection_taps_geometry_is_static(load):
     t = MainsClock.at(day=1, hour=12)
-    taps_a = load.reflection_taps("near", "far", t)
-    taps_b = load.reflection_taps("near", "far", t + 3600)
+    taps_a = _reflection_taps(load, "near", "far", t)
+    taps_b = _reflection_taps(load, "near", "far", t + 3600)
     assert [(a.instance_id, e) for a, e, _ in taps_a] == \
         [(a.instance_id, e) for a, e, _ in taps_b]
 
 
 def test_reflection_taps_report_on_state(load):
     t = MainsClock.at(day=1, hour=12)
-    taps = load.reflection_taps("near", "far", t)
+    taps = _reflection_taps(load, "near", "far", t)
     by_id = {a.instance_id: on for a, _, on in taps}
     assert by_id["fridge-near"]       # always on
     assert by_id["lab-near"]          # always on

@@ -1,14 +1,17 @@
 """Shared world state under thread contention.
 
 Forks of one compiled world share its ``ElectricalLoad`` (with the
-activity model's compiled schedules and draw memo) and its PLC channels
-(with their signature and jitter memos). The thread backend runs tasks
-on such forks concurrently, so every memo reachable from a fork must
-return what a single thread computes, whatever the interleaving. This
-test drives four forks over disjoint and overlapping time windows with a
-tiny switch interval and compares every jitter read and every
-``state_matrix`` row with a single-threaded reference from an
-independent build of the same world.
+activity model's compiled schedules and draw memo, the grid's
+shortest-path trees and the receiver rows) and its PLC channels (with
+their direction geometry and their signature and jitter memos). The
+thread backend runs tasks on such forks concurrently, so every memo
+reachable from a fork must return what a single thread computes,
+whatever the interleaving. The first test drives four forks over
+disjoint and overlapping time windows with a tiny switch interval and
+compares every jitter read and every ``state_matrix`` row with a
+single-threaded reference from an independent build of the same world.
+The second starts the forks from freshly compiled worlds, whose
+geometry memos are still empty, so they race to resolve them first.
 """
 
 from __future__ import annotations
@@ -29,6 +32,9 @@ BUDGET_S = 6.0
 JOIN_TIMEOUT_S = 60.0
 #: State-matrix rows checked per chunk.
 CHUNK = 16
+#: Forks racing over each fresh world, and the pairs they resolve.
+RACERS = 4
+RACE_PAIRS = 12
 
 
 def _windows():
@@ -52,16 +58,18 @@ def test_forks_share_memos_safely_under_contention():
     ref_channel = reference.plc_link(i, j).channel
     ref_jitter = {}
     ref_rows = {}
-    seen_states = {}
     for ts in windows:
         for row, t in zip(reference.load.state_matrix(ts), ts.tolist()):
             ref_rows[t] = row.tobytes()
             jitter, state = ref_channel.jitter_db(t)
             ref_jitter[t] = jitter.tobytes()
-            # The jitter memo is keyed by (interval, sigma); the windows
-            # must not hold two states that share a key.
-            key = (int(t / state.hold_time_s), round(state.sigma_db, 6))
-            assert seen_states.setdefault(key, state) == state
+            # The jitter memo is keyed by (interval, state); every read
+            # must be the draw that key replays.
+            index = int(t / state.hold_time_s)
+            rng = reference.streams.fresh(
+                f"plc.jitter.{ref_channel.name}.{index}")
+            assert jitter.tobytes() == ref_channel._draw_jitter(
+                rng, state).tobytes()
 
     compiled = compile_testbed(PRESET, seed=SEED)
     forks = [compiled.instantiate() for _ in windows]
@@ -110,3 +118,61 @@ def test_forks_share_memos_safely_under_contention():
     assert not errors
     assert all(n > 0 for n in reads)
     assert not wrong, f"{len(wrong)} of {sum(reads)} reads differ: {wrong[:5]}"
+
+
+def _probe(world, i, j, t):
+    """Every geometry-derived read of one direction at one instant."""
+    channel = world.plc_link(i, j).channel
+    return (channel.path_loss_db(t).tobytes(), channel.snr_db(t).tobytes(),
+            world.load.noise_psd_at(channel.dst_outlet, t).tobytes(),
+            world.load.impulsive_event_rate_at(channel.dst_outlet, t),
+            world.cable_distance(i, j))
+
+
+def test_forks_race_to_resolve_empty_geometry_memos():
+    reference = compile_testbed(PRESET, seed=SEED).template
+    pairs = reference.same_board_pairs()[::7][:RACE_PAIRS]
+    instants = [working_hours_start() + 13.0, night_start() + 7.0]
+    expected = {(i, j, t): _probe(reference, i, j, t)
+                for i, j in pairs for t in instants}
+
+    worlds = 0
+    wrong: list = []
+    errors: list = []
+    deadline = time.monotonic() + BUDGET_S
+    while worlds == 0 or time.monotonic() < deadline:
+        compiled = compile_testbed(PRESET, seed=SEED)
+        template = compiled.template
+        assert not template.load.grid._trees and not template.load._rows
+        forks = [compiled.instantiate() for _ in range(RACERS)]
+        barrier = threading.Barrier(RACERS, timeout=JOIN_TIMEOUT_S)
+
+        def worker(k, fork):
+            try:
+                # Half the racers walk the pairs forwards, half backwards,
+                # so every memo is raced from both ends.
+                order = pairs if k % 2 == 0 else pairs[::-1]
+                barrier.wait()
+                for i, j in order:
+                    for t in instants:
+                        if _probe(fork, i, j, t) != expected[(i, j, t)]:
+                            wrong.append((k, i, j, t))
+            except Exception as exc:  # surfaced by the main thread
+                errors.append(repr(exc))
+
+        threads = [threading.Thread(target=worker, args=(k, fork),
+                                    daemon=True)
+                   for k, fork in enumerate(forks)]
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=JOIN_TIMEOUT_S)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        worlds += 1
+    assert not errors
+    assert not wrong, f"{len(wrong)} racing reads differ: {wrong[:5]}"

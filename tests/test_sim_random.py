@@ -44,3 +44,17 @@ def test_spawn_creates_independent_family():
     a = parent.fresh("x").uniform()
     b = child.fresh("x").uniform()
     assert a != b
+
+
+def test_fresh_batch_replays_fresh_streams():
+    """The vectorized seeding draws exactly what one ``fresh`` generator
+    per name draws: one- and two-word seeds take the vectorized hash,
+    seeds wider than the SeedSequence pool the scalar fallback."""
+    names = [f"plc.jitter.link-{k}.{k * 7}" for k in range(37)]
+    for seed in (0, 7, 2**32 - 1, 2**32, 2**63 - 1, 2**96 + 3):
+        streams = RandomStreams(seed=seed)
+        got = [(i, rng.uniform(size=3).tolist())
+               for i, rng in streams.fresh_batch(names)]
+        assert got == [(i, streams.fresh(name).uniform(size=3).tolist())
+                       for i, name in enumerate(names)]
+        assert list(streams.fresh_batch([])) == []
