@@ -45,12 +45,10 @@ def main() -> None:
               f"{result.request.medium:<7} "
               f"{result.mean_rate_mbps:>8.1f}M {done:>9}")
 
-    peak = max(q.active_flows for q in runner.log)
-    b1_peak = max(q.domain_load.get("plc:B1", 0) for q in runner.log)
-    print(f"\npeak concurrent flows: {peak}; "
-          f"peak B1 contention domain load: {b1_peak}")
-
     stats = runner.stats
+    print(f"\npeak concurrent flows: {stats.peak_active_flows}; "
+          f"peak B1 contention domain load: "
+          f"{stats.peak_domain_load.get('plc:B1', 0)}")
     print(f"quanta: {stats.quanta}; capacity-cache hit rate: "
           f"{stats.cache.hit_rate:.0%}; starved quanta: "
           f"{stats.starved_quanta}")

@@ -43,20 +43,12 @@ DEFAULT_WARMUP = 1
 
 
 class BenchContext:
-    """What a benchmark body gets: an injected clock + a timing helper."""
+    """What a benchmark body gets: an injected clock."""
 
     __slots__ = ("clock",)
 
     def __init__(self, clock: Optional[Clock] = None):
         self.clock = clock or DEFAULT_CLOCK
-
-    def timeit(self, fn: Callable[[], Any]) -> Tuple[Any, float]:
-        """Run ``fn`` once, returning ``(result, elapsed_s)`` on the
-        context's clock — for benchmarks that time sub-phases (e.g. a
-        scalar loop inside a speedup measurement)."""
-        start = self.clock.now()
-        result = fn()
-        return result, self.clock.now() - start
 
 
 #: A benchmark body: ``fn(ctx, state) -> optional {metric: number}``.

@@ -15,6 +15,13 @@ exactly the entries the next lookup needs.
 
 Hit/miss/eviction counters live in :class:`CacheStats`, surfaced by the
 scenario runner's ``RunnerStats`` for observability.
+
+A checkpoint (:func:`repro.snapshot.world.snapshot_cache`) keeps only
+the windows a continued run can still read and replaces the rest by a
+count, :attr:`WindowedLruCache.dropped`: phantom entries at the LRU
+front, evicted before any real one, so a full cache evicts the same
+real entries and counts the same ``evictions`` as one that never
+paused.
 """
 
 from __future__ import annotations
@@ -68,6 +75,9 @@ class WindowedLruCache:
         self.stats = CacheStats()
         self._entries: "OrderedDict[Tuple[Hashable, int], Any]" = (
             OrderedDict())
+        #: Entries a checkpoint dropped as unreadable: they still take
+        #: room at the LRU front and are the first evicted.
+        self.dropped = 0
 
     def window_index(self, t: float) -> int:
         """Index of the window containing ``t`` (floor, not truncation)."""
@@ -84,8 +94,11 @@ class WindowedLruCache:
             self.stats.misses += 1
             value = compute()
             self._entries[entry_key] = value
-            while len(self._entries) > self.max_entries:
-                self._entries.popitem(last=False)
+            while len(self._entries) + self.dropped > self.max_entries:
+                if self.dropped:
+                    self.dropped -= 1
+                else:
+                    self._entries.popitem(last=False)
                 self.stats.evictions += 1
             return value
         self._entries.move_to_end(entry_key)
@@ -98,6 +111,7 @@ class WindowedLruCache:
 
     def clear(self) -> None:
         self._entries.clear()
+        self.dropped = 0
 
     def __len__(self) -> int:
         return len(self._entries)

@@ -246,9 +246,6 @@ class QuarantineWriter:
             self._entries = {e.task_key: e
                              for e in read_quarantine(self.path)}
 
-    def quarantined_keys(self) -> Set[str]:
-        return set(self._entries)
-
     def add(self, entry: QuarantineEntry) -> None:
         self._entries[entry.task_key] = entry
 

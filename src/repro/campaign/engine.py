@@ -282,25 +282,34 @@ class CampaignEngine:
         Only checkpoints that load cleanly *and* belong to the same
         slicing plan count; anything corrupt, foreign or left over from
         a different ``--slice-horizon`` is ignored (the chain restarts
-        at 0 rather than restoring the wrong world)."""
-        from repro.campaign.tasks import SLICE_CHECKPOINT_KIND
+        at 0 rather than restoring the wrong world). A traced run also
+        ignores untraced checkpoints, and continues only an unbroken
+        prefix of traced ones: its final slice replays the trace
+        segment of every earlier checkpoint."""
+        from repro.campaign.tasks import slice_chain_mismatch, slice_plan
 
-        horizon = float(original.params_dict.get("horizon_s", 900.0))
+        cfg = self.config
+        plan = slice_plan(original.params_dict.get("horizon_s", 900.0),
+                          cfg.slice_horizon_s, num_slices)
         key = original.task_key()
-        for index in range(num_slices - 2, -1, -1):
-            path = store.path_for(key, index)
-            if not path.exists():
-                continue
+
+        def usable(index: int) -> bool:
+            if not store.path_for(key, index).exists():
+                return False
             try:
                 checkpoint = store.load(key, index)
             except (ValueError, OSError):
-                continue
-            chain = checkpoint.payload.get("chain", {})
-            if (checkpoint.kind == SLICE_CHECKPOINT_KIND
-                    and chain.get("slice_horizon_s")
-                    == float(self.config.slice_horizon_s)
-                    and chain.get("num_slices") == num_slices
-                    and chain.get("horizon_s") == horizon):
+                return False
+            return slice_chain_mismatch(checkpoint, plan,
+                                        cfg.trace) is None
+
+        if cfg.trace:
+            index = 0
+            while index < num_slices - 1 and usable(index):
+                index += 1
+            return index
+        for index in range(num_slices - 2, -1, -1):
+            if usable(index):
                 return index + 1
         return 0
 

@@ -269,6 +269,33 @@ def _scenario(spec: ExperimentSpec, attempt: int) -> TaskOutput:
 SLICE_CHECKPOINT_KIND = "scenario-slice"
 
 
+def slice_plan(horizon_s: float, slice_horizon_s: float,
+               num_slices: int) -> Dict[str, object]:
+    """The slicing plan a checkpoint chain belongs to."""
+    return {"horizon_s": float(horizon_s),
+            "slice_horizon_s": float(slice_horizon_s),
+            "num_slices": int(num_slices)}
+
+
+def slice_chain_mismatch(checkpoint, plan: Dict[str, object],
+                         traced: bool) -> Optional[str]:
+    """Why ``checkpoint`` cannot continue a ``plan`` chain, or ``None``.
+
+    A traced run cannot continue an untraced chain: its final slice
+    replays every earlier slice's trace segment, and an untraced chain
+    has none. An untraced run may continue a traced chain.
+    """
+    if checkpoint.kind != SLICE_CHECKPOINT_KIND:
+        return (f"has kind {checkpoint.kind!r}, expected "
+                f"{SLICE_CHECKPOINT_KIND!r}")
+    chain = checkpoint.payload.get("chain", {})
+    if any(chain.get(name) != value for name, value in plan.items()):
+        return f"belongs to a different slicing plan ({chain})"
+    if traced and not chain.get("traced"):
+        return "belongs to an untraced chain"
+    return None
+
+
 @register_task("scenario_slice", uses_testbed=True,
                params=("day", "hour", "horizon_s", "quantum_s"),
                required=("scenario", "slice_index", "num_slices",
@@ -284,6 +311,12 @@ def _scenario_slice(spec: ExperimentSpec, attempt: int) -> TaskOutput:
     engine rewrites its identity back to ``original_key``, so the
     artifact is byte-identical to an unsliced run. Intermediate slices
     checkpoint and report back through ``TaskOutput.control``.
+
+    With tracing on, checkpoint ``k`` carries only the events slice
+    ``k`` emitted, so checkpoints stay the same size over the run. The
+    final slice reads those segments back in slice order and puts them
+    in front of its own events, so the task's trace is byte-identical to
+    the straight run's. A missing or corrupt segment fails the task.
 
     Determinism across crash-resume comes for free: a re-run slice
     restores the same immutable checkpoint into a fresh testbed.
@@ -303,6 +336,7 @@ def _scenario_slice(spec: ExperimentSpec, attempt: int) -> TaskOutput:
     horizon = float(p.get("horizon_s", 900.0))
     original_key = str(p["original_key"])
     store = SnapshotStore(Path(str(p["store"])))
+    plan = slice_plan(horizon, slice_horizon, num_slices)
 
     testbed = checkout_testbed(spec.preset, seed=spec.seed)
     scenario = build_scenario(str(p["scenario"]), _start_time(p))
@@ -310,32 +344,22 @@ def _scenario_slice(spec: ExperimentSpec, attempt: int) -> TaskOutput:
     runner = ScenarioRunner(testbed,
                             quantum_s=float(p.get("quantum_s", 0.5)),
                             check_invariants=True, tracer=tracer)
+
+    def load_checkpoint(k: int) -> Snapshot:
+        checkpoint = store.load(original_key, k)
+        mismatch = slice_chain_mismatch(checkpoint, plan, tracer.enabled)
+        if mismatch is not None:
+            raise ValueError(f"checkpoint {k} for {original_key} "
+                             f"{mismatch}; re-run from slice 0")
+        return checkpoint
+
     t0 = min(f.start_s for f in scenario.flows)
     until = (None if index >= num_slices - 1
              else t0 + (index + 1) * slice_horizon)
     if index == 0:
         results = runner.run(scenario, horizon_s=horizon, until_s=until)
     else:
-        checkpoint = store.load(original_key, index - 1)
-        if checkpoint.kind != SLICE_CHECKPOINT_KIND:
-            raise ValueError(
-                f"checkpoint {index - 1} for {original_key} has kind "
-                f"{checkpoint.kind!r}, expected "
-                f"{SLICE_CHECKPOINT_KIND!r}")
-        chain = checkpoint.payload.get("chain", {})
-        if (chain.get("slice_horizon_s") != slice_horizon
-                or chain.get("num_slices") != num_slices
-                or chain.get("horizon_s") != horizon):
-            raise ValueError(
-                f"checkpoint {index - 1} for {original_key} belongs to "
-                f"a different slicing plan ({chain}); re-run from "
-                f"slice 0")
-        stored_trace = checkpoint.payload.get("trace")
-        if tracer.enabled and stored_trace:
-            # Prepend the earlier slices' sim-time events so the final
-            # sidecar is byte-identical to the straight run's.
-            tracer.events.extend(TraceEvent.from_dict(event)
-                                 for event in stored_trace)
+        checkpoint = load_checkpoint(index - 1)
         results = runner.resume(
             scenario,
             Snapshot(kind="scenario-runner",
@@ -344,8 +368,7 @@ def _scenario_slice(spec: ExperimentSpec, attempt: int) -> TaskOutput:
     if runner.paused:
         payload = {
             "runner": runner.snapshot(scenario, results).payload,
-            "chain": {"slice_horizon_s": slice_horizon,
-                      "num_slices": num_slices, "horizon_s": horizon},
+            "chain": dict(plan, traced=tracer.enabled),
             "trace": tracer.to_dicts() if tracer.enabled else None,
         }
         store.save(original_key, index,
@@ -353,6 +376,12 @@ def _scenario_slice(spec: ExperimentSpec, attempt: int) -> TaskOutput:
         return TaskOutput(records=[],
                           control={"slice_paused": True,
                                    "slice_index": index})
+    if tracer.enabled and index > 0:
+        segments = [load_checkpoint(k) for k in range(index - 1)]
+        segments.append(checkpoint)
+        tracer.events[:0] = [TraceEvent.from_dict(event)
+                             for segment in segments
+                             for event in segment.payload["trace"]]
     records = [results[name].to_dict() for name in sorted(results)]
     return TaskOutput(records=records, stats=runner.stats.to_dict())
 

@@ -19,8 +19,10 @@ Per-quantum link-capacity lookups are memoised in a shared
 :class:`~repro.cache.WindowedLruCache` (channel drift is minutes-scale,
 so capacities are effectively constant over a few seconds) and the
 allocation passes are batched with numpy across all (flow, medium) pairs.
-:class:`RunnerStats` exposes cache hit rates, per-domain utilisation and
-the work-conservation invariant for observability.
+:class:`RunnerStats` exposes cache hit rates, per-domain utilisation,
+peak concurrency and the work-conservation invariant for observability;
+the per-quantum time series is the tracer's ``runner.quantum`` events,
+so the runner keeps no history of its own.
 
 This is deliberately fluid-level: the frame-level dynamics live in
 :mod:`repro.plc.csma`; the runner answers capacity-planning questions
@@ -30,7 +32,6 @@ paper's metrics exist to serve.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -91,15 +92,6 @@ class WorkConservationError(RuntimeError):
     """A quantum allocated more airtime in a domain than the domain has."""
 
 
-@dataclass
-class QuantumLog:
-    """Per-quantum utilisation snapshot (for time-series inspection)."""
-
-    time: float
-    active_flows: int
-    domain_load: Dict[str, int]
-
-
 class RunnerStats:
     """Aggregate observability for one :meth:`ScenarioRunner.run` call.
 
@@ -112,6 +104,12 @@ class RunnerStats:
     for its mean utilisation — both raw sums are exported by
     :meth:`to_dict` so downstream merges can stay quanta-weighted. Every
     rate/ratio is derived at read time, never stored.
+
+    ``peak_active_flows`` and ``peak_domain_load`` are watermark gauges
+    (most flows active in one quantum, most flow/medium pairs sharing
+    each contention domain). They ride in the registry, and so in
+    checkpoints, but stay out of :meth:`to_dict` and thus out of
+    artifacts.
     """
 
     def __init__(self, cache: Optional[CacheStats] = None,
@@ -140,6 +138,15 @@ class RunnerStats:
         self.registry.watermark("runner.max_domain_airtime",
                                 float(peak), sim_time)
 
+    def note_load(self, active_flows: int, members: np.ndarray,
+                  domain_names: List[str], sim_time: float) -> None:
+        registry = self.registry
+        registry.watermark("runner.peak_active_flows", active_flows,
+                           sim_time)
+        for k, name in enumerate(domain_names):
+            registry.watermark(f"runner.peak_domain_load.{name}",
+                               members[k], sim_time)
+
     # --- views ----------------------------------------------------------------
 
     @property
@@ -157,6 +164,15 @@ class RunnerStats:
     @property
     def max_domain_airtime(self) -> float:
         return self.registry.gauge("runner.max_domain_airtime", 0.0)
+
+    @property
+    def peak_active_flows(self) -> int:
+        return int(self.registry.gauge("runner.peak_active_flows"))
+
+    @property
+    def peak_domain_load(self) -> Dict[str, int]:
+        return {d: int(n) for d, n in self.registry.gauges_with_prefix(
+            "runner.peak_domain_load.").items()}
 
     @property
     def domain_airtime(self) -> Dict[str, float]:
@@ -253,7 +269,6 @@ class ScenarioRunner:
         self._metrics = metrics
         self._capacity_cache = WindowedLruCache(cache_window_s,
                                                 max_entries=cache_entries)
-        self.log: List[QuantumLog] = []
         self.stats = RunnerStats(cache=self._capacity_cache.stats,
                                  registry=self._metrics)
         #: Set while a run is paused at an ``until_s`` boundary:
@@ -308,10 +323,10 @@ class ScenarioRunner:
         time, so a sliced run's trace is byte-identical to a straight
         one.
 
-        Each call resets :attr:`log` and :attr:`stats` (when no shared
-        ``metrics`` registry was injected — an injected registry keeps
-        accumulating across runs); the capacity cache persists across
-        calls (it is keyed by absolute time).
+        Each call resets :attr:`stats` (when no shared ``metrics``
+        registry was injected — an injected registry keeps accumulating
+        across runs); the capacity cache persists across calls (it is
+        keyed by absolute time).
         """
         if not scenario.flows:
             return {}
@@ -322,7 +337,6 @@ class ScenarioRunner:
             deadline = t0 + (scenario.end_time() + 60.0)
         else:
             deadline = scenario.end_time() + 60.0
-        self.log = []
         self._capacity_cache.stats.reset()
         self.stats = RunnerStats(cache=self._capacity_cache.stats,
                                  registry=self._metrics)
@@ -351,9 +365,6 @@ class ScenarioRunner:
                 t = min(upcoming)
                 continue
             self._step(active, results, t)
-            self.log.append(QuantumLog(
-                time=t, active_flows=len(active),
-                domain_load=self._domain_census(active)))
             t += self.quantum_s
         self._paused = None
         if tracer.enabled:
@@ -374,11 +385,14 @@ class ScenarioRunner:
         """Serialise a paused run into a restorable :class:`Snapshot`.
 
         Captures everything the continued loop can observe: the paused
-        position, per-flow progress, the quantum log, the testbed's RNG
-        stream states, the windowed capacity cache *including its LRU
-        order and counters*, and the metrics registry. Restoring into a
-        freshly built testbed of the same preset+seed and calling
-        :meth:`resume` continues bit-identically.
+        position, per-flow progress, the testbed's RNG stream states,
+        the capacity cache's windows from the paused time on *with
+        their LRU order, the count of earlier ones and the counters*
+        (see :func:`~repro.snapshot.world.snapshot_cache`), and the
+        metrics registry. Restoring into a freshly built testbed of the
+        same preset+seed and calling :meth:`resume` continues
+        bit-identically. The size stays flat over a run: nothing here
+        grows with the quanta already executed.
         """
         if self._paused is None:
             raise RuntimeError(
@@ -401,15 +415,9 @@ class ScenarioRunner:
             "t": float(self._paused["t"]),
             "deadline": float(self._paused["deadline"]),
             "flows": flows,
-            "log": [
-                {"time": float(entry.time),
-                 "active_flows": int(entry.active_flows),
-                 "domain_load": {d: int(n) for d, n
-                                 in entry.domain_load.items()}}
-                for entry in self.log
-            ],
             "streams": snapshot_streams(self.testbed.streams),
-            "cache": snapshot_cache(self._capacity_cache),
+            "cache": snapshot_cache(self._capacity_cache,
+                                    self._paused["t"]),
             "registry": self.stats.registry.to_dict(),
         }
         return Snapshot(kind=RUNNER_SNAPSHOT_KIND, payload=payload)
@@ -445,12 +453,6 @@ class ScenarioRunner:
         self.stats = RunnerStats(
             cache=self._capacity_cache.stats,
             registry=MetricsRegistry.from_dict(payload["registry"]))
-        self.log = [
-            QuantumLog(time=entry["time"],
-                       active_flows=int(entry["active_flows"]),
-                       domain_load=dict(entry["domain_load"]))
-            for entry in payload["log"]
-        ]
         results = {}
         for flow in scenario.flows:
             state = payload["flows"][flow.name]
@@ -474,14 +476,6 @@ class ScenarioRunner:
                 return True
         return False
 
-    def _domain_census(self, active: List[FlowRequest]) -> Dict[str, int]:
-        census: Dict[str, int] = {}
-        for flow in active:
-            for medium in self._media(flow):
-                key = self._domain(flow, medium)
-                census[key] = census.get(key, 0) + 1
-        return census
-
     @staticmethod
     def _media(flow: FlowRequest) -> Tuple[str, ...]:
         return constituent_media(flow.medium)
@@ -491,11 +485,11 @@ class ScenarioRunner:
     def _step(self, active: List[FlowRequest],
               results: Dict[str, FlowResult], t: float) -> None:
         with self.profiler.stage("runner.allocate"):
-            airtime, rates, fidx, didx, caps, domain_names = (
+            airtime, rates, fidx, didx, members, domain_names = (
                 self._allocate(active, t))
         n_flows = len(active)
         totals = np.bincount(fidx, weights=rates, minlength=n_flows)
-        self._account(active, airtime, didx, domain_names, t)
+        self._account(n_flows, airtime, didx, members, domain_names, t)
         tracer = self.tracer
         # Book the quantum.
         for i, flow in enumerate(active):
@@ -526,8 +520,9 @@ class ScenarioRunner:
     def _allocate(self, active: List[FlowRequest], t: float):
         """Two-pass airtime allocation over all (flow, medium) pairs.
 
-        Returns per-pair arrays: airtime fractions, rates (bps), flow
-        indices, domain indices, capacities, plus the domain name list.
+        Returns per-pair arrays (airtime fractions, rates in bps, flow
+        indices, domain indices), the pair count per domain, and the
+        domain name list.
         """
         pair_flow: List[int] = []
         pair_domain: List[int] = []
@@ -580,15 +575,17 @@ class ScenarioRunner:
         domain_names = [None] * n_domains
         for name, k in domain_ids.items():
             domain_names[k] = name
-        return airtime, rates, fidx, didx, caps, domain_names
+        return airtime, rates, fidx, didx, members, domain_names
 
-    def _account(self, active: List[FlowRequest], airtime: np.ndarray,
-                 didx: np.ndarray, domain_names: List[str],
-                 t: float) -> None:
-        """Record per-domain utilisation and check work conservation."""
+    def _account(self, n_flows: int, airtime: np.ndarray,
+                 didx: np.ndarray, members: np.ndarray,
+                 domain_names: List[str], t: float) -> None:
+        """Record per-domain load and utilisation and check work
+        conservation."""
         stats = self.stats
         tracer = self.tracer
         stats.note_quantum()
+        stats.note_load(n_flows, members, domain_names, t)
         used = np.bincount(didx, weights=airtime,
                            minlength=len(domain_names))
         for k, name in enumerate(domain_names):

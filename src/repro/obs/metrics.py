@@ -168,6 +168,13 @@ class MetricsRegistry:
                     for name, value in self._counters.items()
                     if name.startswith(prefix)}
 
+    def gauges_with_prefix(self, prefix: str) -> Dict[str, float]:
+        """``{suffix: value}`` for every gauge named ``prefix<suffix>``."""
+        with self._lock:
+            return {name[len(prefix):]: value
+                    for name, (value, _) in self._gauges.items()
+                    if name.startswith(prefix)}
+
     # --- merge / serialisation ------------------------------------------------
 
     def merge(self, other: Union["MetricsRegistry", RegistryDict]) -> None:

@@ -266,11 +266,6 @@ class PlcChannel:
     def _noise_dominance(per_slot_total_db: np.ndarray) -> float:
         return float(np.mean(per_slot_total_db) - BACKGROUND_NOISE_DBM_HZ)
 
-    def noise_dominance_db(self, t: float) -> float:
-        """How far above the background floor the receiver noise sits (dB)."""
-        return self._noise_dominance(
-            self.load.noise_psd_at(self.dst_outlet, t))
-
     def jitter_state(self, t: float) -> JitterState:
         """Jitter parameters; noisier environments jitter harder and faster."""
         signature = self.load.state_signature(t)

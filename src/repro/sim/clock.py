@@ -61,10 +61,6 @@ class MainsClock:
         """Tone-map slot index at time ``t``."""
         return tone_map_slot_at(t, self.num_slots)
 
-    def slot_duration(self) -> float:
-        """Duration of one tone-map slot in seconds."""
-        return HALF_MAINS_CYCLE / self.num_slots
-
     def cycle_index(self, t: float) -> int:
         """Index of the mains cycle containing ``t`` (cycle scale unit)."""
         return int(t / MAINS_CYCLE)

@@ -1,19 +1,19 @@
 """The snapshot wire format: versioned, content-addressed, canonical.
 
-One document shape for every snapshot kind::
+One document shape for every snapshot kind, written on one line::
 
-    {
-      "format": "repro-snapshot",
-      "version": 1,
-      "kind": "scenario-runner",          # who produced the payload
-      "content_hash": "<sha256 of the canonical payload JSON>",
-      "payload": { ... }                  # component state, JSON-safe
-    }
+    {"content_hash":"<sha256 of the canonical payload JSON>",
+     "format":"repro-snapshot",
+     "kind":"scenario-runner",            # who produced the payload
+     "payload":{...},                     # component state, JSON-safe
+     "version":2}
 
 Design mirrors :mod:`repro.bench.schema`: an explicit ``format`` /
-``version`` header so foreign or future documents are *refused* (a
-``SnapshotVersionError``), never half-parsed; dumps are canonical
-(sorted keys, NaN-refusing, trailing newline) so identical worlds
+``version`` header so foreign, older or future documents are *refused*
+(a ``SnapshotVersionError``), never half-parsed; dumps are canonical —
+``json.dumps(envelope, sort_keys=True, separators=(",", ":"),
+allow_nan=False)`` plus a newline, the same form as the campaign
+artifacts, the trace sidecar and the verify report — so identical worlds
 produce identical bytes; and the payload is content-addressed — a blob
 whose ``content_hash`` no longer matches its payload raises
 ``SnapshotIntegrityError`` instead of silently restoring a corrupted
@@ -39,7 +39,9 @@ from pathlib import Path
 from typing import Dict
 
 SNAPSHOT_FORMAT = "repro-snapshot"
-SNAPSHOT_VERSION = 1
+#: 2: compact one-line canonical form; runner checkpoints hold live
+#: cache windows plus a ``dropped`` count and no quantum log.
+SNAPSHOT_VERSION = 2
 
 
 class SnapshotVersionError(ValueError):
@@ -71,16 +73,20 @@ def content_hash(payload: Dict[str, object]) -> str:
 
 
 def dump_snapshot(snap: Snapshot) -> str:
-    """Canonical text: same world state, same bytes."""
-    body = {
-        "format": SNAPSHOT_FORMAT,
-        "version": SNAPSHOT_VERSION,
-        "kind": snap.kind,
-        "content_hash": content_hash(snap.payload),
-        "payload": snap.payload,
-    }
-    return json.dumps(body, indent=1, sort_keys=True,
-                      allow_nan=False) + "\n"
+    """Canonical text: same world state, same bytes.
+
+    The payload is encoded once; its bytes are both hashed and spliced
+    into the envelope, whose keys sort as ``content_hash < format <
+    kind < payload < version`` — so the result equals the compact
+    canonical dump of the whole envelope plus ``"\\n"``.
+    """
+    payload = _canonical_payload(snap.payload)
+    digest = hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    return (f'{{"content_hash":"{digest}",'
+            f'"format":{json.dumps(SNAPSHOT_FORMAT)},'
+            f'"kind":{json.dumps(snap.kind)},'
+            f'"payload":{payload},'
+            f'"version":{SNAPSHOT_VERSION}}}\n')
 
 
 def load_snapshot(text: str) -> Snapshot:

@@ -12,8 +12,11 @@ What gets captured, and what deliberately does not:
 * **RNG streams** — the full PCG64 ``bit_generator.state`` per named
   stream. Restoring via ``streams.get(name)`` works because components
   hold the *same* generator object the factory handed out.
-* **Windowed capacity cache** — entries in LRU order (eviction order is
-  part of observable behaviour) plus hit/miss/eviction counters.
+* **Windowed capacity cache** — the entries of windows at or after the
+  paused time, in LRU order (eviction order is part of observable
+  behaviour), a count of the earlier ones, and the hit/miss/eviction
+  counters. An earlier window can never be read again by a run whose
+  lookups move forward in time, so only its room in the cache is kept.
 * **Tone-map process** — the current :class:`~repro.plc.tonemap.ToneMap`
   (bits grid, FEC, PBerr), the update history, clock and TMI counter.
   The ``(signature, jitter-window)`` evaluation memo is *dropped*: it
@@ -26,7 +29,11 @@ What gets captured, and what deliberately does not:
 
 Pure functions of ``(seed, t)`` — powergrid appliance activity, channel
 attenuation/fading, the mains clock — carry no state and need no codec;
-the world they describe is reconstructed from the testbed preset.
+the world they describe is reconstructed from the testbed preset. Nor
+is history state: the scenario runner keeps no per-quantum log (its
+peaks are registry gauges; the per-quantum time series is the tracer's
+``runner.quantum`` events), so a runner checkpoint does not grow with
+the quanta already run.
 """
 
 from __future__ import annotations
@@ -97,21 +104,38 @@ def _deep_plain(value):
 # --- windowed LRU cache -------------------------------------------------------
 
 
-def snapshot_cache(cache: WindowedLruCache) -> Dict[str, object]:
-    """Entries in LRU order (front = next eviction victim) + counters.
+def snapshot_cache(cache: WindowedLruCache,
+                   now: float) -> Dict[str, object]:
+    """Live entries in LRU order (front = next eviction victim), the
+    count of dropped ones, and the counters.
 
-    Order matters: a straight run's eviction sequence must be
-    reproduced by the restored cache, or a long run with cache pressure
-    would diverge from its sliced twin in *which* windows stay warm.
+    An entry is live when its window index is at least ``now``'s: a run
+    paused at ``now`` looks up no earlier window. Order matters: a
+    straight run's eviction sequence must be reproduced by the restored
+    cache, or a long run with cache pressure would diverge from its
+    sliced twin in *which* windows stay warm. Lookups only move forward
+    in time, so every dead entry sits in front of every live one in LRU
+    order; ``dropped`` (the dead entries plus any count an earlier
+    restore carried over) stands in for them at the front and keeps the
+    eviction sequence and the ``evictions`` counter exact.
+
+    A restored cache does not hold the dropped entries: only a later
+    ``run()`` that goes back before ``now`` could have read them.
     """
+    first_live = cache.window_index(now)
     entries = []
+    dropped = cache.dropped
     for (key, window_index), value in cache._entries.items():
+        if window_index < first_live:
+            dropped += 1
+            continue
         entries.append([list(key) if isinstance(key, tuple) else key,
                         int(window_index), _deep_plain(value)])
     return {
         "window_s": float(cache.window_s),
         "max_entries": int(cache.max_entries),
         "entries": entries,
+        "dropped": dropped,
         "stats": {
             "hits": int(cache.stats.hits),
             "misses": int(cache.stats.misses),
@@ -134,6 +158,7 @@ def restore_cache(cache: WindowedLruCache,
     for key, window_index, value in payload["entries"]:
         entry_key = tuple(key) if isinstance(key, list) else key
         cache._entries[(entry_key, int(window_index))] = value
+    cache.dropped = int(payload["dropped"])
     stats = payload["stats"]
     cache.stats.hits = int(stats["hits"])
     cache.stats.misses = int(stats["misses"])

@@ -40,10 +40,6 @@ class WifiSample(LinkSample):
     mcs_index: int = -1
     phy_rate_bps: float = 0.0
 
-    @property
-    def phy_rate_mbps(self) -> float:
-        return self.phy_rate_bps / MBPS
-
 
 class WifiLink(BatchSamplingMixin):
     """One direction of an 802.11n link."""

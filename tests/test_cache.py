@@ -83,3 +83,27 @@ def test_stats_reset_and_clear():
     assert len(cache) == 0
     cache.get("a", 0.0, lambda: 2)
     assert cache.get("a", 0.5, lambda: "wrong") == 2
+
+
+def test_dropped_entries_are_evicted_first_and_counted():
+    """A restored cache's ``dropped`` count stands for entries at the
+    LRU front: overflow evicts them before any real entry, and every
+    one counts as an eviction."""
+    cache = WindowedLruCache(window_s=1.0, max_entries=4)
+    for key in ("a", "b"):
+        cache.get(key, 5.0, lambda k=key: k)
+    cache.dropped = 2  # full: two phantoms in front of 'a' and 'b'
+    cache.get("c", 5.0, lambda: "c")
+    assert cache.dropped == 1
+    assert cache.stats.evictions == 1
+    cache.get("d", 5.0, lambda: "d")
+    assert cache.dropped == 0
+    assert cache.stats.evictions == 2
+    assert all(cache.contains(key, 5.0) for key in "abcd")
+    cache.get("e", 5.0, lambda: "e")  # phantoms gone: LRU 'a' goes
+    assert cache.stats.evictions == 3
+    assert not cache.contains("a", 5.0)
+    assert len(cache) == 4
+    cache.dropped = 3
+    cache.clear()
+    assert cache.dropped == 0

@@ -8,7 +8,8 @@ crash anywhere in the run. These tests pin the engine mechanics the
 scheduling, checkpoint placement, crash-resume from both the artifact
 and the checkpoint store, and refusal of mismatched or corrupt
 checkpoint chains (reusing the truncate-the-artifact kill harness from
-``test_campaign_properties.py``).
+``test_campaign_properties.py``), and checkpoints that stay the same
+size however far into a run they are taken.
 """
 
 from __future__ import annotations
@@ -18,8 +19,9 @@ import shutil
 
 import pytest
 
-from repro.campaign import ExperimentSpec, run_campaign
-from repro.snapshot import snapshot_dir_for
+from repro.campaign import CampaignAborted, ExperimentSpec, run_campaign
+from repro.obs.trace import trace_path_for
+from repro.snapshot import SnapshotStore, snapshot_dir_for
 
 pytestmark = pytest.mark.slow
 
@@ -174,6 +176,84 @@ def test_mismatched_slicing_plan_ignores_stale_checkpoints(runs,
     run_campaign(_specs(), victim, workers=0,
                  slice_horizon_s=40.0)  # 3 slices, not 4
     assert victim.read_bytes() == runs["reference"]
+
+
+def test_older_snapshot_version_restarts_the_chain(runs, tmp_path):
+    """Checkpoints in an older wire version are refused, not migrated:
+    every chain restarts at slice 0 and the artifact stays identical."""
+    victim = tmp_path / "victim.jsonl"
+    victim.write_text(
+        runs["sliced_bytes"].decode("utf-8").splitlines(keepends=True)[0])
+    ckpts = snapshot_dir_for(victim)
+    shutil.copytree(runs["checkpoints"], ckpts)
+    for path in ckpts.glob("*.json"):
+        document = json.loads(path.read_text(encoding="utf-8"))
+        document["version"] = 1
+        path.write_text(json.dumps(document, indent=1, sort_keys=True),
+                        encoding="utf-8")
+    events = []
+    run_campaign(_specs(), victim, workers=0,
+                 slice_horizon_s=SLICE_HORIZON_S,
+                 progress=lambda event, detail, s: events.append(event))
+    assert victim.read_bytes() == runs["reference"]
+    assert events.count("slice") == runs["slice_events"]
+
+
+def test_traced_rerun_restarts_an_untraced_chain(runs, tmp_path):
+    """A traced rerun over an untraced run's checkpoints (artifact
+    deleted, ``<stem>.snapshots/`` kept) must not resume it: the chain
+    carries no trace segments, so resuming would write a sidecar that
+    silently lacks the earlier slices' events."""
+    victim = tmp_path / "victim.jsonl"
+    shutil.copytree(runs["checkpoints"], snapshot_dir_for(victim))
+    run_campaign(_specs(), victim, workers=0, trace=True,
+                 slice_horizon_s=SLICE_HORIZON_S)
+    straight = tmp_path / "straight.jsonl"
+    run_campaign(_specs(), straight, workers=0, resume=False, trace=True)
+    assert victim.read_bytes() == runs["reference"]
+    assert trace_path_for(victim).read_bytes() == \
+        trace_path_for(straight).read_bytes()
+
+
+@pytest.mark.parametrize("damage", ["torn", "missing"])
+def test_lost_trace_segment_fails_the_task_loudly(tmp_path, damage):
+    """The final traced slice replays checkpoint 0's trace segment; if
+    that segment is torn or gone by then, the task fails and no sidecar
+    is written, rather than a trace missing the first slice."""
+    out = tmp_path / "longhaul.jsonl"
+    spec = ExperimentSpec.make("scenario", PRESET, 7,
+                               scenario="mini3-longhaul", horizon_s=480.0)
+    first = SnapshotStore(snapshot_dir_for(out)).path_for(
+        spec.task_key(), 0)
+
+    def damage_first_segment(event, detail, stats):
+        if event == "slice" and detail.endswith(" 3/4"):
+            if damage == "torn":
+                first.write_text("{torn", encoding="utf-8")
+            else:
+                first.unlink()
+
+    with pytest.raises(CampaignAborted):
+        run_campaign([spec], out, workers=0, resume=False, trace=True,
+                     retries=0, slice_horizon_s=120.0,
+                     progress=damage_first_segment)
+    assert not trace_path_for(out).exists()
+
+
+@pytest.mark.parametrize("trace", [False, True])
+def test_checkpoints_stay_flat_over_a_long_run(tmp_path, trace):
+    """A checkpoint holds live state only — no quantum history, no dead
+    cache windows, only its own slice's trace events — so the newest one
+    of an eight-slice long-haul run is about as large as the first."""
+    out = tmp_path / "longhaul.jsonl"
+    spec = ExperimentSpec.make("scenario", PRESET, 7,
+                               scenario="mini3-longhaul", horizon_s=960.0)
+    run_campaign([spec], out, workers=0, resume=False, trace=trace,
+                 slice_horizon_s=120.0)
+    sizes = [path.stat().st_size
+             for path in sorted(snapshot_dir_for(out).glob("*.json"))]
+    assert len(sizes) == 7
+    assert sizes[-1] <= 1.5 * sizes[0], sizes
 
 
 def test_cli_slice_horizon_flag_plumbs_through(tmp_path, capsys):

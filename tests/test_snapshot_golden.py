@@ -95,6 +95,9 @@ def test_dump_is_canonical_and_roundtrip_stable():
     assert header["format"] == "repro-snapshot"
     assert header["version"] == SNAPSHOT_VERSION
     assert header["content_hash"] == content_hash(snap.payload)
+    # The wire form is the compact canonical dump of the whole envelope.
+    assert blob == json.dumps(header, sort_keys=True, separators=(",", ":"),
+                              allow_nan=False) + "\n"
 
 
 # --- the refusal battery ------------------------------------------------------
@@ -137,6 +140,17 @@ def test_refuses_future_version():
     with pytest.raises(SnapshotVersionError,
                        match="refusing to restore across versions"):
         load_snapshot(json.dumps(blob))
+
+
+def test_refuses_version_1_documents():
+    """A well-formed v1 document (indented, valid hash) is refused: v1
+    runner checkpoints carried the quantum log and every cache window."""
+    blob = _valid_document()
+    blob["version"] = 1
+    assert blob["content_hash"] == content_hash(blob["payload"])
+    with pytest.raises(SnapshotVersionError,
+                       match="version 1 != 2; refusing to restore"):
+        load_snapshot(json.dumps(blob, indent=1, sort_keys=True) + "\n")
 
 
 def test_refuses_missing_kind_and_payload():

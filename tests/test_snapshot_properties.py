@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from repro.compile import checkout_testbed
 from repro.hybrid.aggregator import HybridDevice
 from repro.hybrid.reorder import ReorderBuffer
+from repro.medium.registry import constituent_media
 from repro.netsim.runner import ScenarioRunner
 from repro.netsim.scenario import FlowRequest, Scenario
 from repro.obs.metrics import MetricsRegistry
@@ -84,6 +85,17 @@ def _run_results(runner, results):
     return {name: result.to_dict() for name, result in results.items()}
 
 
+def _assert_same_stats(runner, straight):
+    """Artifact stats plus what stays out of them: evictions and the
+    peak gauges."""
+    assert runner.stats.to_dict() == straight.stats.to_dict()
+    assert runner.stats.cache.evictions == straight.stats.cache.evictions
+    assert runner.stats.peak_active_flows == \
+        straight.stats.peak_active_flows
+    assert runner.stats.peak_domain_load == \
+        straight.stats.peak_domain_load
+
+
 @RUNNER_SETTINGS
 @given(scenario=scenarios, seed=seeds,
        slice_frac=st.floats(0.05, 0.95, allow_nan=False),
@@ -119,9 +131,7 @@ def test_runner_restore_then_n_steps_matches_straight(
 
     assert _run_results(second, resumed) == \
         _run_results(straight, ref_results)
-    assert second.stats.to_dict() == straight.stats.to_dict()
-    assert [vars(a) for a in second.log] == \
-        [vars(b) for b in straight.log]
+    _assert_same_stats(second, straight)
 
 
 @RUNNER_SETTINGS
@@ -153,7 +163,68 @@ def test_runner_double_slice_matches_straight(seed, cut_a, cut_b, phase):
     assert not runner.paused
     assert _run_results(runner, results) == \
         _run_results(straight, ref_results)
-    assert runner.stats.to_dict() == straight.stats.to_dict()
+    _assert_same_stats(runner, straight)
+
+
+#: Flows that stay active through every cut below, all from ``T_BASE``
+#: (a cache-window boundary), so each window sees every link.
+steady_flows = st.lists(
+    st.tuples(st.sampled_from(["saturated", "cbr"]),
+              st.sampled_from(["plc", "wifi", "hybrid"])),
+    min_size=1, max_size=3).map(
+    lambda specs: Scenario(name="steady", flows=[
+        _flow(k, (kind, medium, 0.0, 0))
+        for k, (kind, medium) in enumerate(specs)]))
+
+
+@RUNNER_SETTINGS
+@given(scenario=steady_flows, seed=seeds, window=st.integers(1, 2),
+       quanta=st.integers(1, 8), later=st.integers(1, 8),
+       spare=st.integers(0, 5), phase=mains_phases)
+def test_full_cache_across_slice_points_matches_straight(
+        scenario, seed, window, quanta, later, spare, phase):
+    """A full capacity cache paused mid-window holds live entries (this
+    window) and dead ones (earlier windows). The checkpoint keeps the
+    live ones and counts the dead ones; the restored cache evicts that
+    count first, so a chain of two cuts — the second may fall in the
+    same window, carrying the count over — evicts exactly what the
+    straight run evicts."""
+    cache_window = 5.0
+    links = {(medium, f.src, f.dst) for f in scenario.flows
+             for medium in constituent_media(f.medium)}
+    # Room for this window's links plus 1..len(links) dead entries, so
+    # the cache is full at the first cut and the 20 s run overflows it.
+    entries = len(links) + 1 + spare % len(links)
+
+    def runner():
+        return ScenarioRunner(checkout_testbed(PRESET, seed=seed),
+                              cache_window_s=cache_window,
+                              cache_entries=entries,
+                              metrics=MetricsRegistry())
+
+    horizon = 30.0
+    straight = runner()
+    ref_results = straight.run(scenario, horizon_s=horizon)
+    assert straight.stats.cache.evictions > 0
+
+    first_cut = T_BASE + window * cache_window + quanta * 0.5 + phase
+    current = runner()
+    results = current.run(scenario, horizon_s=horizon, until_s=first_cut)
+    for until in (first_cut + later * 0.5, None):
+        assert current.paused
+        snap = current.snapshot(scenario, results)
+        if until is not None:  # the first cut: a full, mixed cache
+            cache = snap.payload["cache"]
+            assert cache["entries"] and cache["dropped"] > 0
+            assert len(cache["entries"]) + cache["dropped"] == entries
+        current = runner()
+        results = current.resume(
+            scenario, load_snapshot(dump_snapshot(snap)), until_s=until)
+    assert not current.paused
+
+    assert _run_results(current, results) == \
+        _run_results(straight, ref_results)
+    _assert_same_stats(current, straight)
 
 
 # --- hybrid device ------------------------------------------------------------
