@@ -3,19 +3,25 @@
 The paper's campaigns span a year of repeated experiments; anything built on
 this library needs to save measurement runs and reload them for analysis
 without re-simulating. The format is line-delimited JSON: one header line
-(campaign metadata) followed by one line per record — append-friendly,
-diff-able, and stream-parseable.
+(campaign metadata) followed by one line per record — diff-able and
+stream-parseable, written and read through :mod:`repro.wire`.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Union
+from typing import Any, Iterable, Iterator, List, Optional, Union
 
 from repro.core.metrics import LinkMetricRecord, MetricSeries
+from repro.wire import (
+    FormatError,
+    atomic_write,
+    dumps_jsonl,
+    read_headed_jsonl,
+)
 
+CAMPAIGN_FORMAT = "repro-campaign"
 FORMAT_VERSION = 1
 
 
@@ -54,61 +60,36 @@ class Campaign:
 
 def save_campaign(campaign: Campaign, path: Union[str, Path]) -> None:
     """Write a campaign as JSONL (header line + one line per record)."""
-    path = Path(path)
-    header = {"format": "repro-campaign", "version": FORMAT_VERSION,
+    header = {"format": CAMPAIGN_FORMAT, "version": FORMAT_VERSION,
               "name": campaign.name, "description": campaign.description,
               "seed": campaign.seed, "n_records": len(campaign)}
-    with path.open("w", encoding="utf-8") as fh:
-        fh.write(json.dumps(header) + "\n")
-        for record in campaign.records:
-            fh.write(json.dumps(asdict(record), sort_keys=True) + "\n")
+    atomic_write(path, dumps_jsonl(
+        [header] + [asdict(record) for record in campaign.records]))
 
 
 def iter_records(path: Union[str, Path]) -> Iterator[LinkMetricRecord]:
     """Stream records from a campaign file without loading it whole."""
-    path = Path(path)
-    with path.open("r", encoding="utf-8") as fh:
-        header_line = fh.readline()
-        _validate_header(header_line, path)
-        for line_no, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                data = json.loads(line)
-                yield LinkMetricRecord(**data)
-            except (json.JSONDecodeError, TypeError, ValueError) as exc:
-                raise ValueError(
-                    f"{path}:{line_no}: bad record: {exc}") from exc
+    _, lines = read_headed_jsonl(path, CAMPAIGN_FORMAT, FORMAT_VERSION)
+    yield from _records(path, lines)
 
 
 def load_campaign(path: Union[str, Path]) -> Campaign:
     """Read a campaign file back into memory."""
-    path = Path(path)
-    with path.open("r", encoding="utf-8") as fh:
-        header = _validate_header(fh.readline(), path)
-    campaign = Campaign(name=header.get("name", path.stem),
-                        description=header.get("description", ""),
-                        seed=header.get("seed"))
-    for record in iter_records(path):
-        campaign.add(record)
-    return campaign
+    header, lines = read_headed_jsonl(path, CAMPAIGN_FORMAT, FORMAT_VERSION)
+    return Campaign(name=header.get("name", Path(path).stem),
+                    description=header.get("description", ""),
+                    seed=header.get("seed"),
+                    records=list(_records(path, lines)))
 
 
-def _validate_header(line: str, path: Path) -> Dict:
-    try:
-        header = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: not a campaign file "
-                         f"(bad header)") from exc
-    if not isinstance(header, dict) or header.get(
-            "format") != "repro-campaign":
-        raise ValueError(f"{path}: not a campaign file")
-    if header.get("version", 0) > FORMAT_VERSION:
-        raise ValueError(
-            f"{path}: campaign format v{header['version']} is newer than "
-            f"this library understands (v{FORMAT_VERSION})")
-    return header
+def _records(path: Union[str, Path],
+             lines: Iterable[Any]) -> Iterator[LinkMetricRecord]:
+    for line_no, data in enumerate(lines, start=2):
+        try:
+            record = LinkMetricRecord(**data)
+        except (TypeError, ValueError) as exc:
+            raise FormatError(f"{path}:{line_no}: bad record: {exc}") from exc
+        yield record
 
 
 def record_survey(testbed, t: float, pairs=None,

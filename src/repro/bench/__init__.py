@@ -27,7 +27,6 @@ from repro.bench.schema import (
     BenchDocument,
     BenchResult,
     Environment,
-    SchemaVersionError,
     append_trajectory,
     dump_document,
     find_document,
@@ -50,6 +49,7 @@ from repro.bench.spec import (
     temporary_benchmark,
     unregister_benchmark,
 )
+from repro.wire import FormatError
 
 __all__ = [
     "BENCH_FORMAT",
@@ -61,8 +61,8 @@ __all__ = [
     "BenchmarkSpec",
     "ComparisonRow",
     "Environment",
+    "FormatError",
     "MODULE_MANIFEST",
-    "SchemaVersionError",
     "append_trajectory",
     "benchmark",
     "benchmark_names",

@@ -5,14 +5,14 @@ accumulated (medium speedups, obs overhead, campaign backend matrix,
 verify wall time): a :class:`BenchDocument` is an environment
 fingerprint plus a mapping of benchmark name to :class:`BenchResult`
 (per-repeat wall-time samples and derived metrics). The format is
-versioned and the loader refuses mismatched versions outright — a
-baseline written by a future incompatible harness must fail loudly, not
-gate silently on reinterpreted numbers.
+versioned and the loader refuses every other version outright — a
+baseline written by an incompatible harness must fail loudly, not gate
+silently on reinterpreted numbers. The document is the indented
+canonical form of :mod:`repro.wire`, so its diff reviews like code.
 
 Round-trip contract (property-tested in ``tests/test_bench_schema.py``):
 ``load_document(dump_document(doc)) == doc`` for any document built
-from finite floats. ``NaN``/``Inf`` are rejected at dump time
-(``allow_nan=False``) because JSON cannot represent them portably.
+from finite floats; ``NaN``/``Inf`` are refused at dump time.
 
 The *trajectory* is the repo's perf history: one compact JSON line per
 run (git SHA, environment, min-of-repeats per benchmark), appended by
@@ -22,7 +22,6 @@ claims stay comparable across PRs instead of living in commit messages.
 
 from __future__ import annotations
 
-import json
 import os
 import platform as _platform
 import sys
@@ -30,13 +29,19 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Tuple, Union
 
+from repro.wire import (
+    append_jsonl,
+    atomic_write,
+    check_envelope,
+    dumps_compact,
+    dumps_indented,
+    loads,
+    read_jsonl,
+)
+
 #: Document identity: loaders check both before touching any number.
 BENCH_FORMAT = "repro-bench"
 BENCH_SCHEMA_VERSION = 1
-
-
-class SchemaVersionError(ValueError):
-    """A BENCH document's format/version does not match this harness."""
 
 
 @dataclass(frozen=True)
@@ -181,17 +186,9 @@ class BenchDocument:
         }
 
     @classmethod
-    def from_dict(cls, data: Mapping[str, object]) -> "BenchDocument":
-        fmt = data.get("format")
-        version = data.get("version")
-        if fmt != BENCH_FORMAT:
-            raise SchemaVersionError(
-                f"not a {BENCH_FORMAT} document (format={fmt!r})")
-        if version != BENCH_SCHEMA_VERSION:
-            raise SchemaVersionError(
-                f"schema version mismatch: document v{version!r}, "
-                f"this harness reads v{BENCH_SCHEMA_VERSION} — "
-                f"regenerate the document with `repro bench run`")
+    def from_dict(cls, data: Mapping[str, object],
+                  source: object = "BENCH document") -> "BenchDocument":
+        check_envelope(data, BENCH_FORMAT, BENCH_SCHEMA_VERSION, source)
         results = {
             name: BenchResult.from_dict(entry)
             for name, entry in dict(data.get("results", {})).items()}
@@ -203,28 +200,21 @@ class BenchDocument:
 
 
 def dump_document(doc: BenchDocument) -> str:
-    """Canonical JSON text (sorted keys, trailing newline, finite-only)."""
-    return json.dumps(doc.to_dict(), indent=2, sort_keys=True,
-                      allow_nan=False) + "\n"
+    """Canonical JSON text (indented form plus a trailing newline)."""
+    return dumps_indented(doc.to_dict()) + "\n"
 
 
-def load_document(text: str) -> BenchDocument:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"not a JSON document: {exc}") from None
-    if not isinstance(data, dict):
-        raise ValueError("not a BENCH document (top level is not an "
-                         "object)")
-    return BenchDocument.from_dict(data)
+def load_document(text: str,
+                  source: object = "BENCH document") -> BenchDocument:
+    return BenchDocument.from_dict(loads(text, source), source)
 
 
 def write_document(path: Union[str, Path], doc: BenchDocument) -> None:
-    Path(path).write_text(dump_document(doc), encoding="utf-8")
+    atomic_write(path, dump_document(doc))
 
 
 def read_document(path: Union[str, Path]) -> BenchDocument:
-    return load_document(Path(path).read_text(encoding="utf-8"))
+    return load_document(Path(path).read_text(encoding="utf-8"), path)
 
 
 def find_document(path: Union[str, Path],
@@ -240,42 +230,35 @@ def find_document(path: Union[str, Path],
 # --- the trajectory -----------------------------------------------------------
 
 
-def trajectory_line(doc: BenchDocument) -> str:
-    """One compact JSON line: provenance + min-of-repeats per benchmark."""
-    record = {
+def _trajectory_record(doc: BenchDocument) -> Dict[str, object]:
+    return {
         "format": BENCH_FORMAT,
         "version": BENCH_SCHEMA_VERSION,
         "environment": doc.environment.to_dict(),
         "min_s": {name: result.min_s
                   for name, result in sorted(doc.results.items())},
     }
-    return json.dumps(record, sort_keys=True, allow_nan=False,
-                      separators=(",", ":"))
+
+
+def trajectory_line(doc: BenchDocument) -> str:
+    """One compact JSON line: provenance + min-of-repeats per benchmark."""
+    return dumps_compact(_trajectory_record(doc))
 
 
 def append_trajectory(path: Union[str, Path], doc: BenchDocument) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "a", encoding="utf-8") as fh:
-        fh.write(trajectory_line(doc) + "\n")
+        append_jsonl(fh, _trajectory_record(doc))
 
 
 def read_trajectory(path: Union[str, Path]) -> List[Dict[str, object]]:
-    """All trajectory records, oldest first (torn tails tolerated, like
-    campaign artifacts: a truncated last line is skipped, not fatal)."""
-    records: List[Dict[str, object]] = []
+    """All repro-bench records, oldest first; records of another format
+    are skipped. The torn tail of a killed append is tolerated, a
+    corrupt line anywhere else is a :class:`repro.wire.FormatError`."""
     try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        return [entry for entry in read_jsonl(path)
+                if isinstance(entry, dict)
+                and entry.get("format") == BENCH_FORMAT]
     except FileNotFoundError:
-        return records
-    for line in lines:
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            entry = json.loads(line)
-        except json.JSONDecodeError:
-            continue
-        if isinstance(entry, dict) and entry.get("format") == BENCH_FORMAT:
-            records.append(entry)
-    return records
+        return []

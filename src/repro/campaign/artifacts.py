@@ -3,7 +3,7 @@
 Layout: one header line (campaign metadata) followed by one line per
 completed task. Two properties matter and are worth stating as contracts:
 
-**Resume contract.** Task lines are appended and flushed as tasks finish,
+**Resume contract.** Task lines are appended and fsynced as tasks finish,
 so a killed run leaves a valid prefix (plus at most one truncated line,
 which reopening discards). On restart the engine reads the surviving task
 keys and skips those specs.
@@ -13,23 +13,29 @@ no timestamps, host names or durations — and :meth:`ArtifactWriter.finalize`
 rewrites the file with task lines sorted by task key under a canonical
 header. Two finalized runs of the same spec list are therefore
 byte-identical at any worker count, on any schedule, resumed or not.
+
+Encoding, atomic rewrites and torn-tail reads are :mod:`repro.wire`'s.
 """
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Set, Tuple, Union
 
+from repro.wire import (
+    FormatError,
+    append_jsonl,
+    atomic_write,
+    dumps_jsonl,
+    loads,
+    read_headed_jsonl,
+)
+
 ARTIFACT_FORMAT = "repro-campaign-artifacts"
 ARTIFACT_VERSION = 1
 QUARANTINE_FORMAT = "repro-campaign-quarantine"
-
-
-def _canonical(obj: Any) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+QUARANTINE_VERSION = 1
 
 
 @dataclass
@@ -42,15 +48,13 @@ class TaskArtifact:
     records: List[Dict[str, Any]]
     stats: Dict[str, Any]
 
-    def to_line(self) -> str:
-        return _canonical({
-            "task_key": self.task_key, "spec": self.spec,
-            "task_seed": self.task_seed, "records": self.records,
-            "stats": self.stats})
+    def to_dict(self) -> Dict[str, Any]:
+        return {"task_key": self.task_key, "spec": self.spec,
+                "task_seed": self.task_seed, "records": self.records,
+                "stats": self.stats}
 
     @classmethod
-    def from_line(cls, line: str) -> "TaskArtifact":
-        data = json.loads(line)
+    def from_dict(cls, data: Dict[str, Any]) -> "TaskArtifact":
         return cls(task_key=data["task_key"], spec=data["spec"],
                    task_seed=data["task_seed"],
                    records=data.get("records", []),
@@ -63,11 +67,12 @@ def _header(name: str, root_seed: Optional[int]) -> Dict[str, Any]:
 
 
 def is_artifact_file(path: Union[str, Path]) -> bool:
-    """True if ``path`` starts with a campaign-artifact header."""
+    """True if ``path`` starts with a campaign-artifact header (of any
+    version: :func:`read_artifacts` says why it refuses one)."""
     try:
         with Path(path).open("r", encoding="utf-8") as fh:
-            header = json.loads(fh.readline())
-    except (OSError, json.JSONDecodeError):
+            header = loads(fh.readline(), path)
+    except (OSError, FormatError):
         return False
     return (isinstance(header, dict)
             and header.get("format") == ARTIFACT_FORMAT)
@@ -75,40 +80,12 @@ def is_artifact_file(path: Union[str, Path]) -> bool:
 
 def read_artifacts(path: Union[str, Path]
                    ) -> Tuple[Dict[str, Any], List[TaskArtifact]]:
-    """Load header + all complete task lines (a trailing truncated line —
-    the signature of a killed run — is silently dropped)."""
-    path = Path(path)
-    with path.open("r", encoding="utf-8") as fh:
-        raw = fh.read()
-    lines = raw.split("\n")
-    if not lines or not lines[0]:
-        raise ValueError(f"{path}: empty artifact file")
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: not an artifact file") from exc
-    if not isinstance(header, dict) or header.get(
-            "format") != ARTIFACT_FORMAT:
-        raise ValueError(f"{path}: not an artifact file")
-    if header.get("version", 0) > ARTIFACT_VERSION:
-        raise ValueError(f"{path}: artifact format v{header['version']} "
-                         f"is newer than this library "
-                         f"(v{ARTIFACT_VERSION})")
-    tasks: List[TaskArtifact] = []
-    # If the file does not end with a newline its last line may be a
-    # partial write from a killed process; only lines terminated by "\n"
-    # (every element but the final split fragment) are trusted.
-    complete, trailing = lines[1:-1], lines[-1]
-    for line in complete:
-        if not line.strip():
-            continue
-        tasks.append(TaskArtifact.from_line(line))
-    if trailing.strip():
-        try:
-            tasks.append(TaskArtifact.from_line(trailing))
-        except (json.JSONDecodeError, KeyError):
-            pass  # truncated by a kill — the resume pass re-runs it
-    return header, tasks
+    """Load header + all task lines. The torn tail of a killed run is
+    dropped (the resume pass re-runs that task); any other damage is a
+    :class:`repro.wire.FormatError`."""
+    header, lines = read_headed_jsonl(path, ARTIFACT_FORMAT,
+                                      ARTIFACT_VERSION)
+    return header, [TaskArtifact.from_dict(data) for data in lines]
 
 
 def iter_task_records(path: Union[str, Path]
@@ -138,7 +115,7 @@ class ArtifactWriter:
             self._tasks = {t.task_key: t for t in tasks}
         # Rewrite the surviving prefix so the file is exactly header +
         # complete lines before any appends (drops truncated tails).
-        self._rewrite(sorted(self._tasks))
+        self._rewrite()
         self._fh = self.path.open("a", encoding="utf-8")
 
     # --- the resume contract --------------------------------------------------
@@ -151,27 +128,23 @@ class ArtifactWriter:
     def write(self, artifact: TaskArtifact) -> None:
         if artifact.task_key in self._tasks:
             return  # resume already has it
+        append_jsonl(self._fh, artifact.to_dict())
         self._tasks[artifact.task_key] = artifact
-        self._fh.write(artifact.to_line() + "\n")
-        self._fh.flush()
-        os.fsync(self._fh.fileno())
 
     def finalize(self) -> None:
         """Rewrite in canonical order; see the determinism contract."""
         self._fh.close()
-        self._rewrite(sorted(self._tasks))
+        self._rewrite()
         self._fh = self.path.open("a", encoding="utf-8")
 
     def close(self) -> None:
         self._fh.close()
 
-    def _rewrite(self, ordered_keys: List[str]) -> None:
-        tmp = self.path.with_suffix(self.path.suffix + ".tmp")
-        with tmp.open("w", encoding="utf-8") as fh:
-            fh.write(_canonical(_header(self.name, self.root_seed)) + "\n")
-            for key in ordered_keys:
-                fh.write(self._tasks[key].to_line() + "\n")
-        tmp.replace(self.path)
+    def _rewrite(self) -> None:
+        """Header plus every task in task-key order, replaced atomically."""
+        atomic_write(self.path, dumps_jsonl(
+            [_header(self.name, self.root_seed)]
+            + [self._tasks[key].to_dict() for key in sorted(self._tasks)]))
 
 
 # --- poison-task quarantine ---------------------------------------------------
@@ -196,14 +169,12 @@ class QuarantineEntry:
     attempts: int
     error: str
 
-    def to_line(self) -> str:
-        return _canonical({
-            "task_key": self.task_key, "spec": self.spec,
-            "attempts": self.attempts, "error": self.error})
+    def to_dict(self) -> Dict[str, Any]:
+        return {"task_key": self.task_key, "spec": self.spec,
+                "attempts": self.attempts, "error": self.error}
 
     @classmethod
-    def from_line(cls, line: str) -> "QuarantineEntry":
-        data = json.loads(line)
+    def from_dict(cls, data: Dict[str, Any]) -> "QuarantineEntry":
         return cls(task_key=data["task_key"], spec=data.get("spec", {}),
                    attempts=int(data.get("attempts", 0)),
                    error=str(data.get("error", "")))
@@ -214,16 +185,9 @@ def read_quarantine(path: Union[str, Path]) -> List[QuarantineEntry]:
     path = Path(path)
     if not path.exists():
         return []
-    entries: List[QuarantineEntry] = []
-    with path.open("r", encoding="utf-8") as fh:
-        header = json.loads(fh.readline())
-        if not (isinstance(header, dict)
-                and header.get("format") == QUARANTINE_FORMAT):
-            raise ValueError(f"{path}: not a quarantine sidecar")
-        for line in fh:
-            if line.strip() and line.endswith("\n"):
-                entries.append(QuarantineEntry.from_line(line))
-    return entries
+    _, lines = read_headed_jsonl(path, QUARANTINE_FORMAT,
+                                 QUARANTINE_VERSION)
+    return [QuarantineEntry.from_dict(data) for data in lines]
 
 
 class QuarantineWriter:
@@ -261,10 +225,8 @@ class QuarantineWriter:
             if self.path.exists():
                 self.path.unlink()
             return
-        tmp = self.path.with_suffix(self.path.suffix + ".tmp")
-        with tmp.open("w", encoding="utf-8") as fh:
-            fh.write(_canonical({"format": QUARANTINE_FORMAT,
-                                 "version": 1, "name": self.name}) + "\n")
-            for key in sorted(self._entries):
-                fh.write(self._entries[key].to_line() + "\n")
-        tmp.replace(self.path)
+        header = {"format": QUARANTINE_FORMAT,
+                  "version": QUARANTINE_VERSION, "name": self.name}
+        atomic_write(self.path, dumps_jsonl(
+            [header] + [self._entries[key].to_dict()
+                        for key in sorted(self._entries)]))

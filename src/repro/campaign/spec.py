@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.sim.random import derive_seed
 from repro.testbed.presets import resolve_testbed_preset
+from repro.wire import dumps_compact
 
 #: Parameter values must round-trip JSON exactly: scalars only (or tuples of
 #: scalars, stored as tuples for hashability, serialised as lists).
@@ -68,8 +68,7 @@ class ExperimentSpec:
 
     def canonical_json(self) -> str:
         """Canonical serialised form (sorted keys, no whitespace)."""
-        return json.dumps(self.to_dict(), sort_keys=True,
-                          separators=(",", ":"))
+        return dumps_compact(self.to_dict())
 
     def task_key(self) -> str:
         """Stable, unique, human-scannable identity of this task.

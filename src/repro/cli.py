@@ -448,10 +448,7 @@ def cmd_bench_compare(args) -> int:
         print(f"error: cannot read baseline {baseline_path}: {exc}",
               file=sys.stderr)
         return 1
-    except bench.SchemaVersionError as exc:
-        print(f"error: baseline {baseline_path}: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except ValueError as exc:  # includes bench.FormatError
         print(f"error: baseline {baseline_path}: {exc}", file=sys.stderr)
         return 1
 
@@ -462,7 +459,7 @@ def cmd_bench_compare(args) -> int:
             print(f"error: cannot read candidate {args.candidate}: "
                   f"{exc}", file=sys.stderr)
             return 1
-        except ValueError as exc:  # includes SchemaVersionError
+        except ValueError as exc:  # includes bench.FormatError
             print(f"error: candidate {args.candidate}: {exc}",
                   file=sys.stderr)
             return 1
@@ -516,7 +513,7 @@ def cmd_bench_report(args) -> int:
     except OSError as exc:
         print(f"error: cannot read {args.file}: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:  # includes SchemaVersionError
+    except ValueError as exc:  # includes bench.FormatError
         print(f"error: {args.file}: {exc}", file=sys.stderr)
         return 1
     env = doc.environment

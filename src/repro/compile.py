@@ -29,7 +29,6 @@ Everything here publishes ``compile.*`` counters into
 from __future__ import annotations
 
 import hashlib
-import json
 import threading
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
@@ -40,6 +39,7 @@ from repro.obs.clock import SystemClock
 from repro.obs.metrics import MetricsRegistry, global_registry
 from repro.testbed.builder import Testbed, build_preset_testbed  # noqa: TID251 — the compile plane owns the one legit scratch-build site
 from repro.testbed.presets import resolve_testbed_preset
+from repro.wire import dumps_compact
 
 #: Bumped whenever the build recipe changes meaning: the version is part
 #: of every fingerprint, so stale cross-process cache reuse (e.g. a
@@ -72,9 +72,8 @@ def testbed_fingerprint(preset_name: str) -> str:
         "spec": asdict(preset.vendor.spec),
         "stations": list(preset.stations) if preset.stations else None,
     }
-    canonical = json.dumps(material, sort_keys=True,
-                           separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return hashlib.sha256(
+        dumps_compact(material).encode("utf-8")).hexdigest()
 
 
 @dataclass(frozen=True, eq=False)

@@ -245,8 +245,7 @@ class ScenarioRunner:
                  link_decorator=None,
                  tracer: Optional[Tracer] = None,
                  profiler: Optional[Profiler] = None,
-                 metrics: Optional[MetricsRegistry] = None,
-                 legacy_default_horizon: bool = False):
+                 metrics: Optional[MetricsRegistry] = None):
         if quantum_s <= 0:
             raise ValueError("quantum must be positive")
         self.testbed = testbed
@@ -259,11 +258,6 @@ class ScenarioRunner:
         #: cache: a fault edge (outage start/end) is observed at the next
         #: recompute, so detection lag is bounded by ``cache_window_s``.
         self.link_decorator = link_decorator
-        #: Test-only: reinstate the pre-fix default deadline
-        #: ``t0 + (end_time + 60)`` that double-offset late scenario
-        #: starts. Exists solely so `repro.verify` can demonstrate its
-        #: oracles catch the historical bug; never set it in real runs.
-        self.legacy_default_horizon = legacy_default_horizon
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.profiler = profiler if profiler is not None else NULL_PROFILER
         self._metrics = metrics
@@ -308,10 +302,7 @@ class ScenarioRunner:
 
         ``horizon_s`` is **relative**: the maximum simulated duration
         measured from the first flow's start time. When omitted, the
-        runner stops at ``scenario.end_time() + 60.0`` — an *absolute*
-        deadline of "last scheduled flow end plus 60 s slack", which
-        bounds file flows that never complete (e.g. on a dead link)
-        without double-counting a late scenario start.
+        runner stops at :meth:`default_deadline`.
 
         ``until_s`` is an **absolute** pause point: the loop stops
         *before* executing the first quantum at ``t >= until_s``,
@@ -331,18 +322,21 @@ class ScenarioRunner:
         if not scenario.flows:
             return {}
         t0 = min(f.start_s for f in scenario.flows)
-        if horizon_s is not None:
-            deadline = t0 + horizon_s
-        elif self.legacy_default_horizon:
-            deadline = t0 + (scenario.end_time() + 60.0)
-        else:
-            deadline = scenario.end_time() + 60.0
+        deadline = (t0 + horizon_s if horizon_s is not None
+                    else self.default_deadline(scenario))
         self._capacity_cache.stats.reset()
         self.stats = RunnerStats(cache=self._capacity_cache.stats,
                                  registry=self._metrics)
         self._paused = None
         results = {f.name: FlowResult(request=f) for f in scenario.flows}
         return self._loop(scenario, results, t0, t0, deadline, until_s)
+
+    def default_deadline(self, scenario: Scenario) -> float:
+        """The *absolute* deadline of a run without ``horizon_s``: the
+        last scheduled flow end plus 60 s of slack, which bounds file
+        flows that never complete (e.g. on a dead link) without
+        double-counting a late scenario start."""
+        return scenario.end_time() + 60.0
 
     def _loop(self, scenario: Scenario,
               results: Dict[str, FlowResult], t0: float, t: float,

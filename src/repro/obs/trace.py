@@ -12,12 +12,12 @@ Traces are a **sidecar** (``<artifact>.trace.jsonl``), never part of the
 result artifact: turning tracing on must not move a single byte of
 results. The sidecar has its own canonical form — header line, then one
 line per event sorted by ``(task_key, seq)`` — so two traced runs of the
-same campaign produce byte-identical sidecars too.
+same campaign produce byte-identical sidecars too. It is written and
+read through :mod:`repro.wire`.
 """
 
 from __future__ import annotations
 
-import json
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -25,13 +25,10 @@ from pathlib import Path
 from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple, Union
 
 from repro.obs.clock import Clock
+from repro.wire import atomic_write, dumps_jsonl, read_headed_jsonl
 
 TRACE_FORMAT = "repro-trace"
 TRACE_VERSION = 1
-
-
-def _canonical(obj: Any) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 @dataclass
@@ -163,32 +160,17 @@ def write_trace(path: Union[str, Path],
     are identical at any worker count.
     """
     path = Path(path)
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    with tmp.open("w", encoding="utf-8") as fh:
-        fh.write(_canonical({"format": TRACE_FORMAT,
-                             "version": TRACE_VERSION,
-                             "name": name}) + "\n")
-        for task_key in sorted(events_by_task):
-            for seq, event in enumerate(events_by_task[task_key]):
-                line = dict(event)
-                line["task_key"] = task_key
-                line["seq"] = seq
-                fh.write(_canonical(line) + "\n")
-    tmp.replace(path)
+    header = {"format": TRACE_FORMAT, "version": TRACE_VERSION,
+              "name": name}
+    atomic_write(path, dumps_jsonl([header] + [
+        {**event, "task_key": task_key, "seq": seq}
+        for task_key in sorted(events_by_task)
+        for seq, event in enumerate(events_by_task[task_key])]))
     return path
 
 
 def read_trace(path: Union[str, Path]
                ) -> Tuple[Dict[str, Any], List[Dict[str, Any]]]:
     """Load a trace sidecar: (header, event lines in file order)."""
-    path = Path(path)
-    with path.open("r", encoding="utf-8") as fh:
-        try:
-            header = json.loads(fh.readline())
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: not a trace sidecar") from exc
-        if not (isinstance(header, dict)
-                and header.get("format") == TRACE_FORMAT):
-            raise ValueError(f"{path}: not a trace sidecar")
-        events = [json.loads(line) for line in fh if line.strip()]
-    return header, events
+    header, lines = read_headed_jsonl(path, TRACE_FORMAT, TRACE_VERSION)
+    return header, list(lines)

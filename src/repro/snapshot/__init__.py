@@ -20,8 +20,6 @@ from repro.snapshot.codec import (
     SNAPSHOT_FORMAT,
     SNAPSHOT_VERSION,
     Snapshot,
-    SnapshotIntegrityError,
-    SnapshotVersionError,
     content_hash,
     dump_snapshot,
     load_snapshot,
@@ -41,13 +39,14 @@ from repro.snapshot.world import (
     snapshot_streams,
     snapshot_tone_map_process,
 )
+from repro.wire import FormatError, IntegrityError
 
 __all__ = [
+    "FormatError",
+    "IntegrityError",
     "SNAPSHOT_FORMAT",
     "SNAPSHOT_VERSION",
     "Snapshot",
-    "SnapshotIntegrityError",
-    "SnapshotVersionError",
     "SnapshotStore",
     "content_hash",
     "dump_snapshot",

@@ -23,7 +23,6 @@ Case kinds rotate round-robin:
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -37,6 +36,7 @@ from repro.obs.metrics import MetricsRegistry, global_registry
 from repro.sim.random import RandomStreams, derive_seed
 from repro.verify import invariants, metamorphic, oracles
 from repro.verify.report import CheckResult, from_messages
+from repro.wire import atomic_write, check_envelope, dumps_indented, loads
 
 REPRO_FORMAT = "verify-repro"
 REPRO_VERSION = 1
@@ -44,10 +44,8 @@ REPRO_VERSION = 1
 #: The rotation of case families (round-robin over the case index).
 CASE_KINDS = ("scenario", "series", "faults", "relabel")
 
-#: Runner options a fuzz case may carry. ``legacy_default_horizon`` is
-#: the planted-bug seam (see ScenarioRunner); the rest bound case cost.
-_RUNNER_OPTION_KEYS = ("legacy_default_horizon", "quantum_s",
-                       "cache_window_s")
+#: Runner options a fuzz case may carry; they bound case cost.
+_RUNNER_OPTION_KEYS = ("quantum_s", "cache_window_s")
 
 
 # --- case execution (the ``verify_case`` campaign task) -----------------------
@@ -265,8 +263,8 @@ def invariant_results(kind: str, subject, subject_name: str,
                params=("index", "t0", "n_flows", "huge_file", "delta_s",
                        "medium", "src", "dst", "n_points", "interval_s",
                        "measured", "horizon_s", "outages", "degradations",
-                       "snr_collapses", "n_seeds", "legacy_default_horizon",
-                       "quantum_s", "cache_window_s"),
+                       "snr_collapses", "n_seeds", "quantum_s",
+                       "cache_window_s"),
                required=("case",))
 def _verify_case(spec: ExperimentSpec, attempt: int) -> TaskOutput:
     """Campaign executor for one fuzz case (pure function of the spec)."""
@@ -391,12 +389,11 @@ class ScenarioFuzzer:
         """Archive the minimal replayable description of a failure."""
         self.repro_dir.mkdir(parents=True, exist_ok=True)
         path = self.repro_path(spec)
-        path.write_text(json.dumps(
+        atomic_write(path, dumps_indented(
             {"format": REPRO_FORMAT, "version": REPRO_VERSION,
              "spec": spec.to_dict(), "task_key": spec.task_key(),
              "task_seed": spec.task_seed(),
-             "failures": [f.to_dict() for f in failures]},
-            sort_keys=True, indent=2) + "\n", encoding="utf-8")
+             "failures": [f.to_dict() for f in failures]}) + "\n")
         return path
 
 
@@ -408,9 +405,8 @@ def replay_repro(path: Union[str, Path]
     failure is reproduced iff the same checks fail again.
     """
     path = Path(path)
-    data = json.loads(path.read_text(encoding="utf-8"))
-    if data.get("format") != REPRO_FORMAT:
-        raise ValueError(f"{path} is not a {REPRO_FORMAT} artifact")
+    data = check_envelope(loads(path.read_text(encoding="utf-8"), path),
+                          REPRO_FORMAT, REPRO_VERSION, path)
     spec = ExperimentSpec.from_dict(data["spec"])
     output = _verify_case(spec, 0)
     return spec, [CheckResult.from_dict(r) for r in output.records]

@@ -3,10 +3,10 @@
 A verify run (suite or fuzz) emits one report file:
 
 * line 1 — a header: ``{"format": "verify-report", "version": 1, ...}``;
-* one line per check, **sorted by (check, subject)** with sorted keys and
-  compact separators — like campaign artifacts, the bytes are a pure
-  function of the results, so two runs that observed the same outcomes
-  produce identical files;
+* one line per check, **sorted by (check, subject)** in the compact
+  canonical form of :mod:`repro.wire` — like campaign artifacts, the
+  bytes are a pure function of the results, so two runs that observed
+  the same outcomes produce identical files;
 * a final summary line with the pass/fail census.
 
 Wall-clock timings never appear in the report (they would break the
@@ -15,10 +15,11 @@ canonical-bytes property); they go to ``BENCH_verify.json`` via the CLI.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Sequence, Tuple, Union
+
+from repro.wire import atomic_write, dumps_jsonl, read_headed_jsonl
 
 REPORT_FORMAT = "verify-report"
 REPORT_VERSION = 1
@@ -101,22 +102,17 @@ class VerifyReport:
                 "failed": len(self.failures)}
 
 
-def _canonical(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
 def write_report(path: Union[str, Path], report: VerifyReport) -> Path:
     """Write the canonical JSONL report; returns the path written."""
     path = Path(path)
-    lines = [_canonical({"format": REPORT_FORMAT,
-                         "version": REPORT_VERSION,
-                         "suite": report.suite, "seed": report.seed,
-                         "preset": report.preset})]
+    header = {"format": REPORT_FORMAT, "version": REPORT_VERSION,
+              "suite": report.suite, "seed": report.seed,
+              "preset": report.preset}
     ordered = sorted(report.results,
                      key=lambda r: (r.check, r.subject, r.status))
-    lines += [_canonical(r.to_dict()) for r in ordered]
-    lines.append(_canonical({"summary": report.summary()}))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    atomic_write(path, dumps_jsonl(
+        [header] + [r.to_dict() for r in ordered]
+        + [{"summary": report.summary()}]))
     return path
 
 
@@ -124,25 +120,9 @@ def read_report(path: Union[str, Path]
                 ) -> Tuple[Dict[str, object], List[CheckResult]]:
     """Parse a report file back into (header, results).
 
-    Raises ``ValueError`` on anything that is not a verify report.
+    Raises :class:`repro.wire.FormatError` on anything that is not a
+    verify report.
     """
-    path = Path(path)
-    text = path.read_text(encoding="utf-8")
-    lines = [line for line in text.splitlines() if line.strip()]
-    if not lines:
-        raise ValueError(f"{path} is empty, not a verify report")
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: malformed header: {exc}") from None
-    if not isinstance(header, dict) \
-            or header.get("format") != REPORT_FORMAT:
-        raise ValueError(f"{path} is not a verify report "
-                         f"(header {lines[0][:60]!r})")
-    results: List[CheckResult] = []
-    for line in lines[1:]:
-        data = json.loads(line)
-        if "summary" in data:
-            continue
-        results.append(CheckResult.from_dict(data))
-    return header, results
+    header, lines = read_headed_jsonl(path, REPORT_FORMAT, REPORT_VERSION)
+    return header, [CheckResult.from_dict(data) for data in lines
+                    if "summary" not in data]

@@ -1,6 +1,7 @@
 """Shared fixtures: one testbed per session, canonical measurement times,
-and the golden-trace comparison harness (``--update-golden`` regenerates
-the frozen reference outputs under ``tests/golden/``)."""
+the golden-trace comparison harness (``--update-golden`` regenerates
+the frozen reference outputs under ``tests/golden/``) and the planted
+default-horizon bug the verify tests must catch."""
 
 from __future__ import annotations
 
@@ -14,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+from repro.netsim.runner import ScenarioRunner
 from repro.sim.random import RandomStreams
 from repro.testbed import build_testbed
 from repro.testbed.experiments import night_start, working_hours_start
@@ -163,3 +165,24 @@ def t_night():
 @pytest.fixture()
 def streams():
     return RandomStreams(seed=1234)
+
+
+# --- the planted default-horizon bug ------------------------------------------
+
+
+class LegacyHorizonRunner(ScenarioRunner):
+    """A runner with the historical default deadline ``t0 + (end_time +
+    60)``, which double-offsets a late scenario start: the bug the
+    default-horizon oracle and the time-shift relation exist to catch."""
+
+    def default_deadline(self, scenario):
+        t0 = min(f.start_s for f in scenario.flows)
+        return t0 + (scenario.end_time() + 60.0)
+
+
+@pytest.fixture()
+def legacy_horizon(monkeypatch):
+    """Plant the bug in every ``ScenarioRunner`` for one test — for code
+    that builds its own runners (the fuzzer, an in-process replay)."""
+    monkeypatch.setattr(ScenarioRunner, "default_deadline",
+                        LegacyHorizonRunner.default_deadline)

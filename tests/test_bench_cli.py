@@ -129,7 +129,8 @@ def test_bench_compare_schema_version_mismatch(tmp_path, capsys):
     rc = main(["bench", "compare", str(path)])
     err = capsys.readouterr().err
     assert rc == 1
-    assert "schema version mismatch" in err
+    assert "is version 42 (newer); this program reads only version 1" \
+        in err
 
 
 def test_bench_compare_rejects_legacy_ad_hoc_baseline(tmp_path, capsys):
@@ -139,7 +140,7 @@ def test_bench_compare_rejects_legacy_ad_hoc_baseline(tmp_path, capsys):
     rc = main(["bench", "compare", str(path)])
     err = capsys.readouterr().err
     assert rc == 1
-    assert "not a repro-bench document" in err
+    assert "not a repro-bench file" in err
 
 
 def test_bench_compare_candidate_errors_are_reported(tmp_path, capsys):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 from hypothesis import given
@@ -14,7 +15,6 @@ from repro.bench.schema import (
     BenchDocument,
     BenchResult,
     Environment,
-    SchemaVersionError,
     append_trajectory,
     dump_document,
     find_document,
@@ -24,6 +24,7 @@ from repro.bench.schema import (
     trajectory_line,
     write_document,
 )
+from repro.wire import FormatError
 
 # --- strategies ---------------------------------------------------------------
 
@@ -102,7 +103,7 @@ def test_derived_aggregates_ride_along_but_are_recomputed(tmp_path):
     assert load_document(json.dumps(data)).results["a.b"].min_s == 1.0
 
 
-# --- refusal paths ------------------------------------------------------------
+# --- refusal paths (the shared battery is tests/test_wire.py) -----------------
 
 
 def _valid_dict():
@@ -114,14 +115,15 @@ def _valid_dict():
 def test_version_mismatch_is_refused():
     data = _valid_dict()
     data["version"] = BENCH_SCHEMA_VERSION + 1
-    with pytest.raises(SchemaVersionError, match="schema version"):
+    with pytest.raises(FormatError,
+                       match="this program reads only version 1"):
         BenchDocument.from_dict(data)
 
 
 def test_foreign_format_is_refused():
     data = _valid_dict()
     data["format"] = "somebody-elses-bench"
-    with pytest.raises(SchemaVersionError, match="not a repro-bench"):
+    with pytest.raises(FormatError, match="not a repro-bench"):
         BenchDocument.from_dict(data)
 
 
@@ -129,18 +131,8 @@ def test_legacy_ad_hoc_bench_json_is_refused():
     """The pre-unification shapes (no format/version header) must not
     load as if they were canonical documents."""
     legacy = {"plc": {"scalar_s": 18.0, "batch_s": 1.5, "speedup": 12.0}}
-    with pytest.raises(SchemaVersionError):
+    with pytest.raises(FormatError):
         BenchDocument.from_dict(legacy)
-
-
-def test_non_json_text_is_an_error():
-    with pytest.raises(ValueError, match="not a JSON document"):
-        load_document("this is not json")
-
-
-def test_top_level_array_is_an_error():
-    with pytest.raises(ValueError, match="top level"):
-        load_document("[1, 2, 3]")
 
 
 def test_nan_samples_refuse_to_dump():
@@ -190,6 +182,20 @@ def test_trajectory_tolerates_torn_tail_and_noise(tmp_path):
         fh.write('{"format": "other"}\n')      # foreign record: skipped
         fh.write(trajectory_line(doc)[:20])    # torn tail: skipped
     assert len(read_trajectory(path)) == 1
+
+
+def test_trajectory_refuses_a_corrupt_line_mid_history(tmp_path):
+    """Only the last line may be torn: a malformed line with records
+    after it is damage, not a killed append, and must not vanish."""
+    path = tmp_path / "trajectory.jsonl"
+    doc = BenchDocument(environment=Environment.capture())
+    doc.add(BenchResult(name="a.b", samples_s=(1.0,)))
+    append_trajectory(path, doc)
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write('{"format": "repro-bench", "min_s": \n')
+    append_trajectory(path, doc)
+    with pytest.raises(FormatError, match=re.escape(f"{path}:2")):
+        read_trajectory(path)
 
 
 def test_trajectory_missing_file_is_empty(tmp_path):

@@ -120,7 +120,7 @@ def test_report_rejects_non_campaign_file(tmp_path, capsys):
     rc = main(["report", str(path)])
     err = capsys.readouterr().err
     assert rc == 1
-    assert "not a campaign file" in err
+    assert "junk.jsonl:1: not a JSON document" in err
 
 
 def test_report_missing_file(capsys):

@@ -159,9 +159,9 @@ def test_write_trace_replaces_atomically(tmp_path):
 def test_read_trace_rejects_non_trace_files(tmp_path):
     bogus = tmp_path / "bogus.jsonl"
     bogus.write_text('{"format":"something-else"}\n')
-    with pytest.raises(ValueError, match="not a trace sidecar"):
+    with pytest.raises(ValueError, match="not a repro-trace file"):
         read_trace(bogus)
     empty = tmp_path / "empty.jsonl"
     empty.write_text("")
-    with pytest.raises(ValueError, match="not a trace sidecar"):
+    with pytest.raises(ValueError, match="not a repro-trace file"):
         read_trace(empty)

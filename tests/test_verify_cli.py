@@ -54,18 +54,18 @@ def test_report_to_unwritable_path_fails(tmp_path, capsys):
 
 
 def _planted_repro(tmp_path):
-    """A replayable artifact for a case that fails under the planted
-    legacy-horizon bug (the runner option rides inside the spec)."""
+    """A replayable artifact for a case that fails while the
+    ``legacy_horizon`` fixture plants the historical horizon bug."""
     spec = ExperimentSpec.make(
         "verify_case", "mini3", SEED, case="scenario", index=0,
-        t0=64, n_flows=2, huge_file=True, delta_s=4.0,
-        legacy_default_horizon=True)
+        t0=64, n_flows=2, huge_file=True, delta_s=4.0)
     fuzzer = ScenarioFuzzer(root_seed=SEED,
                             repro_dir=tmp_path / "failures")
     return fuzzer.write_repro(spec, failures=[])
 
 
-def test_replay_exits_nonzero_when_checks_fail(tmp_path, capsys):
+def test_replay_exits_nonzero_when_checks_fail(tmp_path, capsys,
+                                               legacy_horizon):
     path = _planted_repro(tmp_path)
     rc = main(["verify", "--replay", str(path)])
     out = capsys.readouterr().out

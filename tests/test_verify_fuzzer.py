@@ -51,11 +51,10 @@ def test_case_kinds_rotate_round_robin(tmp_path):
 
 
 def test_runner_options_are_embedded_in_the_spec(tmp_path):
-    fuzzer = _fuzzer(tmp_path,
-                     runner_options={"legacy_default_horizon": True})
+    fuzzer = _fuzzer(tmp_path, runner_options={"quantum_s": 0.25})
     spec = fuzzer.case_spec(0)  # index 0 is a scenario case
     assert spec.params_dict["case"] == "scenario"
-    assert spec.params_dict["legacy_default_horizon"] is True
+    assert spec.params_dict["quantum_s"] == 0.25
 
 
 def test_cases_execute_through_the_campaign_registry(tmp_path):
@@ -97,16 +96,14 @@ def test_clean_run_archives_nothing(tmp_path):
 
 
 def _first_failing_run(tmp_path, max_cases=8):
-    """Fuzz against a runner with the pre-PR-1 horizon double offset
-    planted behind its test-only flag."""
-    fuzzer = _fuzzer(tmp_path,
-                     runner_options={"legacy_default_horizon": True},
-                     presets=("mini3", "wing-b2"))
+    """Fuzz until the first failure; callers plant the historical
+    horizon double offset with the ``legacy_horizon`` fixture."""
+    fuzzer = _fuzzer(tmp_path, presets=("mini3", "wing-b2"))
     results = fuzzer.run(max_cases=max_cases, stop_on_failure=True)
     return fuzzer, results
 
 
-def test_fuzzer_catches_planted_horizon_bug(tmp_path):
+def test_fuzzer_catches_planted_horizon_bug(tmp_path, legacy_horizon):
     fuzzer, results = _first_failing_run(tmp_path)
     failures = [r for r in results if not r.passed]
     assert failures, "planted bug escaped the fuzz suite"
@@ -117,7 +114,8 @@ def test_fuzzer_catches_planted_horizon_bug(tmp_path):
     assert fuzzer.metrics.counter("verify.fuzz.failures") >= 1
 
 
-def test_planted_bug_failure_replays_from_repro_artifact(tmp_path):
+def test_planted_bug_failure_replays_from_repro_artifact(tmp_path,
+                                                        legacy_horizon):
     fuzzer, results = _first_failing_run(tmp_path)
     artifacts = sorted(fuzzer.repro_dir.glob("repro-*.json"))
     assert artifacts, "no repro artifact written for the failure"
@@ -126,8 +124,8 @@ def test_planted_bug_failure_replays_from_repro_artifact(tmp_path):
     assert data["failures"]
 
     # The artifact is self-contained: replay re-derives the testbed,
-    # scenario and (planted) runner options from the spec alone and the
-    # same checks fail again.
+    # scenario and runner options from the spec alone and, with the bug
+    # still planted, the same checks fail again.
     spec, replayed = replay_repro(artifacts[0])
     assert spec.task_key() == data["task_key"]
     replayed_failures = {(r.check, r.subject)

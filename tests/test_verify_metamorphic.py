@@ -6,7 +6,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.netsim.runner import ScenarioRunner
 from repro.netsim.scenario import FlowRequest, Scenario
 from repro.testbed import build_preset_testbed
 from repro.verify.metamorphic import (
@@ -19,6 +18,7 @@ from repro.verify.metamorphic import (
     frozen_link_decorator,
     shift_scenario,
 )
+from tests.conftest import LegacyHorizonRunner
 
 SEED = 7
 T_REF = 64.0
@@ -88,12 +88,8 @@ def test_time_shift_catches_legacy_horizon_bug(mini3):
     scenario.add(FlowRequest("bulk", 0, 2, T_REF, kind="file",
                              medium="plc", size_bytes=1e12))
 
-    def legacy_factory(testbed, **kwargs):
-        return ScenarioRunner(testbed, legacy_default_horizon=True,
-                              **kwargs)
-
     diffs = check_time_shift(mini3, scenario, delta_s=4.0,
-                             runner_factory=legacy_factory)
+                             runner_factory=LegacyHorizonRunner)
     assert diffs and any("bulk" in d for d in diffs)
 
 

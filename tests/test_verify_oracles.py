@@ -8,7 +8,6 @@ import pytest
 
 from repro.campaign.spec import ExperimentSpec
 from repro.faults.plan import FaultPlan, FaultPlanConfig
-from repro.netsim.runner import ScenarioRunner
 from repro.netsim.scenario import FlowRequest, Scenario
 from repro.testbed import build_preset_testbed
 from repro.verify.oracles import (
@@ -20,6 +19,7 @@ from repro.verify.oracles import (
     diff_seed_relabeling,
     diff_traced_vs_untraced,
 )
+from tests.conftest import LegacyHorizonRunner
 
 SEED = 7
 
@@ -70,12 +70,8 @@ def test_default_horizon_oracle_passes(mini3):
 
 
 def test_default_horizon_oracle_catches_legacy_double_offset(mini3):
-    def legacy_factory(testbed, **kwargs):
-        return ScenarioRunner(testbed, legacy_default_horizon=True,
-                              **kwargs)
-
     diffs = diff_default_horizon(mini3, _bulk_scenario(),
-                                 runner_factory=legacy_factory)
+                                 runner_factory=LegacyHorizonRunner)
     assert diffs and any("bulk" in d for d in diffs)
 
 
