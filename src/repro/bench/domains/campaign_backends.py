@@ -48,7 +48,7 @@ def _survey_specs():
 
 
 def _campaign(specs, out_dir: str, name: str, *, backend: str,
-              workers: int, cold: bool = False):
+              workers: int, chunk_size: int = 1, cold: bool = False):
     """One campaign run into a throwaway artifact; stats returned."""
     path = Path(out_dir) / f"{name}.jsonl"
     if path.exists():
@@ -61,7 +61,8 @@ def _campaign(specs, out_dir: str, name: str, *, backend: str,
                                  resume=False)
     else:
         stats = run_campaign(specs, path, workers=workers,
-                             backend=backend, resume=False)
+                             backend=backend, chunk_size=chunk_size,
+                             resume=False)
     assert stats.completed == N_TASKS
     return stats
 
@@ -104,20 +105,26 @@ def _warm(ctx, state):
     }
 
 
-def _pooled(backend: str):
+def _pooled(name: str, backend: str, chunk_size: int):
     def fn(ctx, state):
-        _campaign(state.specs, state.out_dir, backend, backend=backend,
-                  workers=4)
+        _campaign(state.specs, state.out_dir, name, backend=backend,
+                  workers=4, chunk_size=chunk_size)
         return {"n_tasks": float(N_TASKS), "workers": 4.0}
     return fn
 
 
-for _backend in ("process", "thread", "chunked"):
-    benchmark(f"campaign.backend_{_backend}", setup=_State, repeats=2,
-              warmup=0, tags=("campaign", "backend", _backend),
+#: benchmark name -> (backend, chunk size). ``chunked`` names the process
+#: pool fed 8 specs per round-trip.
+POOLED = {"process": ("process", 1), "thread": ("thread", 1),
+          "chunked": ("process", 8)}
+
+for _name, (_backend, _chunk) in POOLED.items():
+    benchmark(f"campaign.backend_{_name}", setup=_State, repeats=2,
+              warmup=0, tags=("campaign", "backend", _name),
               description=f"{N_TASKS}-task survey on the {_backend} "
-                          "backend, 4 workers, warm cache")(
-        _pooled(_backend))
+                          f"backend, chunk size {_chunk}, 4 workers, "
+                          "warm cache")(
+        _pooled(_name, _backend, _chunk))
 
 
 def _smoke_compile(doc):

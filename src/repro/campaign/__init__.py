@@ -17,7 +17,6 @@ resume contracts.
 
 from repro.campaign.backends import (
     BACKEND_NAMES,
-    ChunkedBackend,
     InlineBackend,
     ProcessBackend,
     ThreadBackend,
@@ -62,7 +61,6 @@ from repro.campaign.tasks import (
 
 __all__ = [
     "BACKEND_NAMES",
-    "ChunkedBackend",
     "InlineBackend",
     "ProcessBackend",
     "ThreadBackend",

@@ -5,12 +5,11 @@ breaker, resume, artifact ordering. How an attempt actually runs is a
 pluggable :class:`ExecutionBackend`:
 
 * ``inline``  — synchronous, in this process (``workers=0`` semantics);
-* ``process`` — one spec per :class:`~concurrent.futures.ProcessPoolExecutor`
-  round-trip (the engine's historical behaviour);
+* ``process`` — a :class:`~concurrent.futures.ProcessPoolExecutor` fed
+  ``chunk_size`` specs per round-trip (one by default; more amortise
+  pickling/IPC over K tasks for cheap-task campaigns);
 * ``thread``  — a thread pool: cheaper dispatch for numpy-bound kinds that
-  release the GIL, and every worker shares the parent's compile cache;
-* ``chunked`` — a process pool fed ``chunk_size`` specs per round-trip,
-  amortising pickling/IPC over K tasks for cheap-task campaigns.
+  release the GIL, and every worker shares the parent's compile cache.
 
 Every backend runs specs through one worker entry point,
 :func:`run_task_batch`, which catches *per-task* exceptions and returns
@@ -32,7 +31,7 @@ from repro.obs.trace import task_trace
 
 #: Names :func:`create_backend` accepts. ``auto`` maps to ``inline`` when
 #: ``workers == 0`` and ``process`` otherwise — the pre-backend behaviour.
-BACKEND_NAMES = ("auto", "inline", "process", "thread", "chunked")
+BACKEND_NAMES = ("auto", "inline", "process", "thread")
 
 #: A batch entry crossing the pool boundary: ``(spec_dict, attempt)``.
 SpecJob = Tuple[Dict[str, object], int]
@@ -89,9 +88,7 @@ class InlineBackend:
 
     name = "inline"
     capacity = 1
-
-    def __init__(self, chunk_size: int = 1):
-        self.chunk_size = chunk_size
+    chunk_size = 1
 
     def submit(self, batch: Sequence[SpecJob],
                trace: bool = False) -> "Future[List[Dict[str, object]]]":
@@ -115,6 +112,8 @@ class _PoolBackend:
     def __init__(self, workers: int, chunk_size: int = 1):
         if workers < 1:
             raise ValueError(f"{self.name} backend needs workers >= 1")
+        if chunk_size < 1:
+            raise ValueError("chunk_size must be >= 1")
         self.capacity = workers
         self.chunk_size = chunk_size
         self._pool = self._make_pool(workers)
@@ -132,7 +131,14 @@ class _PoolBackend:
 
 
 class ProcessBackend(_PoolBackend):
-    """One spec per process-pool round-trip (historical behaviour)."""
+    """A process pool fed ``chunk_size`` specs per round-trip.
+
+    A chunk cuts per-task IPC (pickle a batch, unpickle a batch of
+    payloads) by the chunk factor — the win for campaigns of many cheap
+    tasks. It also coarsens the timeout granularity: the engine times
+    out whole in-flight batches, so keep chunks small when attempts are
+    slow or flaky.
+    """
 
     name = "process"
 
@@ -156,40 +162,21 @@ class ThreadBackend(_PoolBackend):
             max_workers=workers, thread_name_prefix="campaign-worker")
 
 
-class ChunkedBackend(ProcessBackend):
-    """A process pool fed ``chunk_size`` specs per round-trip.
-
-    Cuts per-task IPC (pickle a batch, unpickle a batch of payloads) by
-    the chunk factor — the win for campaigns of many cheap tasks. A
-    larger chunk also coarsens the timeout granularity: the engine times
-    out whole in-flight batches, so keep chunks small when attempts are
-    slow or flaky.
-    """
-
-    name = "chunked"
-
-    def __init__(self, workers: int, chunk_size: int = 8):
-        if chunk_size < 1:
-            raise ValueError("chunk_size must be >= 1")
-        super().__init__(workers, chunk_size=chunk_size)
-
-
 def create_backend(name: str, workers: int,
-                   chunk_size: int = 8):
+                   chunk_size: int = 1):
     """Resolve a backend name (see :data:`BACKEND_NAMES`) to an instance.
 
     ``auto`` preserves the pre-backend engine contract: ``workers=0``
-    runs inline, anything else uses the process pool.
+    runs inline, anything else uses the process pool. Only the process
+    pool takes ``chunk_size``.
     """
     if name == "auto":
         name = "inline" if workers == 0 else "process"
     if name == "inline":
         return InlineBackend()
     if name == "process":
-        return ProcessBackend(max(1, workers))
+        return ProcessBackend(max(1, workers), chunk_size=chunk_size)
     if name == "thread":
         return ThreadBackend(max(1, workers))
-    if name == "chunked":
-        return ChunkedBackend(max(1, workers), chunk_size=chunk_size)
     raise ValueError(
         f"unknown backend {name!r} (known: {', '.join(BACKEND_NAMES)})")

@@ -6,8 +6,8 @@ artifacts, with:
 
 * **deterministic seeding** — every task's world is a pure function of its
   spec (`seed` + :meth:`ExperimentSpec.task_seed`), so artifacts are
-  bit-identical at any worker count *and any backend* (inline, process,
-  thread, chunked — see :mod:`repro.campaign.backends`);
+  bit-identical at any worker count *and any backend* (inline, process
+  at any chunk size, thread — see :mod:`repro.campaign.backends`);
 * **per-task timeout and retry** — failed or timed-out attempts are
   resubmitted with exponential backoff, up to ``retries`` times;
 * **a circuit breaker** — more than ``max_failures`` permanently failed
@@ -102,8 +102,8 @@ class EngineConfig:
     #: Execution mechanism (see :mod:`repro.campaign.backends`).
     #: ``auto`` = ``inline`` when ``workers == 0``, else ``process``.
     backend: str = "auto"
-    #: Specs per pool round-trip for the ``chunked`` backend.
-    chunk_size: int = 8
+    #: Specs per round-trip for the ``process`` backend.
+    chunk_size: int = 1
     #: Compile the spec list's distinct testbed worlds into the process-
     #: wide cache before the backend starts (fork-inherited by workers).
     precompile: bool = True

@@ -692,15 +692,15 @@ def build_parser() -> argparse.ArgumentParser:
                                  "(default 1)")
     p_campaign.add_argument("--backend",
                             choices=("auto", "inline", "process",
-                                     "thread", "chunked"),
+                                     "thread"),
                             default="auto",
                             help="execution backend (default auto: "
                                  "inline when --workers 0, else "
                                  "process); artifacts are byte-identical "
                                  "across backends")
-    p_campaign.add_argument("--chunk-size", type=int, default=8,
-                            help="chunked backend: specs per pool "
-                                 "round-trip (default 8)")
+    p_campaign.add_argument("--chunk-size", type=int, default=1,
+                            help="process backend: specs per pool "
+                                 "round-trip (default 1)")
     p_campaign.add_argument("--pairs",
                             help="survey: directed pairs, e.g. 0-1,1-0")
     p_campaign.add_argument("--max-pairs", type=int, default=0,

@@ -104,21 +104,27 @@ class JitterState:
 
 
 @dataclass(frozen=True)
-class SnrGroup:
-    """One (appliance signature, jitter interval) group of a time grid.
+class ChannelState:
+    """The channel of one direction at one instant, resolved once.
 
-    ``indices`` are positions into the grid passed to
-    :meth:`PlcChannel.snr_series_groups`; every one of them sees the same
-    ``snr_db`` grid (shape (carriers, slots)).
+    Everything the PHY/MAC chain reads. It is piecewise constant: every
+    instant with the same appliance signature and jitter hold interval
+    has the same state. Built per instant by
+    :meth:`PlcChannel.state_at` and per (signature, interval) group by
+    :meth:`PlcChannel.snr_series_groups`; never mutated.
     """
 
-    indices: np.ndarray
+    #: Appliance on/off signature (:meth:`ElectricalLoad.state_signature`).
+    signature: Tuple[bool, ...]
+    jitter: JitterState
+    #: Jitter hold interval: ``int(t / jitter.hold_time_s)``.
+    interval: int
+    #: Jitter-free SNR, shape (carriers, slots); shared by every state
+    #: with this signature.
     base_snr_db: np.ndarray
+    #: ``base_snr_db`` plus the interval's per-slot jitter draw.
     snr_db: np.ndarray
     impulsive_rate_hz: float
-    #: Which of the grid's distinct appliance signatures the group has
-    #: (groups sharing it share ``base_snr_db``).
-    signature_index: int
 
 
 class PlcChannel:
@@ -266,12 +272,6 @@ class PlcChannel:
     def _noise_dominance(per_slot_total_db: np.ndarray) -> float:
         return float(np.mean(per_slot_total_db) - BACKGROUND_NOISE_DBM_HZ)
 
-    def jitter_state(self, t: float) -> JitterState:
-        """Jitter parameters; noisier environments jitter harder and faster."""
-        signature = self.load.state_signature(t)
-        return self._jitter_state(signature, self.load.impulsive_event_rate_for(
-            self.dst_outlet, signature))
-
     def _jitter_state(self, signature: tuple,
                       impulsive_rate_hz: float) -> JitterState:
         rho = self._noise_dominance(
@@ -295,32 +295,48 @@ class PlcChannel:
             jitter -= state.impulse_depth_db * rng.uniform(0.5, 1.0)
         return jitter
 
-    def jitter_db(self, t: float) -> Tuple[np.ndarray, JitterState]:
-        """Per-slot jitter (dB) at time ``t``; piecewise constant.
+    def _jitter_for(self, interval: int, state: JitterState) -> np.ndarray:
+        """Per-slot jitter (dB) of one hold interval (memoized).
 
         A common component re-drawn every hold interval plus a smaller
-        independent per-slot component. Deterministic given (link, interval).
+        independent per-slot component. Deterministic given (link,
+        interval).
         """
-        state = self.jitter_state(t)
-        index = int(t / state.hold_time_s)
-        cache_key = (index, state)
+        cache_key = (interval, state)
         key, cached = self._jitter_cache
         if key == cache_key:
-            return cached, state
-        rng = self._streams.fresh(f"plc.jitter.{self.name}.{index}")
+            return cached
+        rng = self._streams.fresh(f"plc.jitter.{self.name}.{interval}")
         jitter = self._draw_jitter(rng, state)
         self._jitter_cache = (cache_key, jitter)
-        return jitter, state
+        return jitter
 
-    # --- SNR ---------------------------------------------------------------------
+    # --- channel state -------------------------------------------------------------
+
+    def state_at(self, t: float) -> ChannelState:
+        """The channel at ``t``: one appliance-signature evaluation, then
+        the base-SNR and jitter memos."""
+        signature = self.load.state_signature(t)
+        rate = self.load.impulsive_event_rate_for(self.dst_outlet, signature)
+        jitter = self._jitter_state(signature, rate)
+        interval = int(t / jitter.hold_time_s)
+        base = self._base_snr_for(signature)
+        return ChannelState(
+            signature=signature, jitter=jitter, interval=interval,
+            base_snr_db=base,
+            snr_db=base + self._jitter_for(interval, jitter)[None, :],
+            impulsive_rate_hz=rate)
 
     def snr_db(self, t: float, include_jitter: bool = True) -> np.ndarray:
-        """True per-carrier, per-slot SNR (dB); shape (carriers, slots)."""
-        base = self._base_snr_for(self.load.state_signature(t))
+        """True per-carrier, per-slot SNR (dB); shape (carriers, slots).
+
+        The ``snr_db`` of :meth:`state_at`; without jitter its
+        ``base_snr_db``, read from the memo alone (the jitter state and
+        draw would be discarded).
+        """
         if not include_jitter:
-            return base
-        jitter, _ = self.jitter_db(t)
-        return base + jitter[None, :]
+            return self._base_snr_for(self.load.state_signature(t))
+        return self.state_at(t).snr_db
 
     def _base_snr_for(self, signature: tuple) -> np.ndarray:
         """Jitter-free SNR grid for an appliance signature (memoized; the
@@ -339,43 +355,46 @@ class PlcChannel:
         """Carrier/slot-average SNR (quick quality scalar)."""
         return float(np.mean(self.snr_db(t, include_jitter=False)))
 
-    def snr_series_groups(self, ts: np.ndarray) -> "list[SnrGroup]":
-        """Group a time grid by channel state and evaluate SNR once per group.
+    def snr_series_groups(self, ts: np.ndarray
+                          ) -> "list[tuple[np.ndarray, ChannelState]]":
+        """Group a time grid by channel state: one :class:`ChannelState`
+        per group.
 
         The channel is piecewise constant on two timescales: the appliance
         on/off signature (base SNR, jitter parameters, impulsive rate) and
         the jitter hold interval (the jitter draw). The grid's signatures
         come from one :meth:`ElectricalLoad.state_matrix` call, and each
         distinct one is resolved once. Every timestamp within one
-        (signature, interval) pair sees byte-identical SNR, so the batch
-        sampling path computes each group's grids once and fans the
-        results back out. Groups are returned in first-appearance order;
-        their ``indices`` partition ``range(len(ts))``.
+        (signature, interval) pair has the same state, so the batch
+        sampling path evaluates each group once and fans the results back
+        out. Returns ``(indices, state)`` pairs in first-appearance order;
+        the ``indices`` partition ``range(len(ts))``, and the states of
+        one signature share its ``base_snr_db`` array.
         """
         ts = np.asarray(ts, dtype=float)
         sig_ids: Dict[bytes, int] = {}
+        signatures: list = []
         bases: list = []
-        states: list = []
+        jitters: list = []
         rates: list = []
         sig_of = np.empty(len(ts), dtype=np.intp)
         for i, row in enumerate(self.load.state_matrix(ts)):
             row_key = row.tobytes()
             sid = sig_ids.get(row_key)
             if sid is None:
-                sid = len(bases)
+                sid = len(signatures)
                 sig_ids[row_key] = sid
                 signature = tuple(row.tolist())
                 rate = self.load.impulsive_event_rate_for(self.dst_outlet,
                                                           signature)
-                # Read through snr_db, the channel's one SNR entry point
-                # (one more signature evaluation per distinct signature).
-                # Its memoized arrays are replaced, never mutated, on state
+                signatures.append(signature)
+                # The memoized grid is replaced, never mutated, on state
                 # change, so holding references across groups is safe.
-                bases.append(self.snr_db(float(ts[i]), include_jitter=False))
-                states.append(self._jitter_state(signature, rate))
+                bases.append(self._base_snr_for(signature))
+                jitters.append(self._jitter_state(signature, rate))
                 rates.append(rate)
             sig_of[i] = sid
-        holds = np.array([state.hold_time_s for state in states])
+        holds = np.array([jitter.hold_time_s for jitter in jitters])
         # int(t / hold) per timestamp: float64 division, truncated.
         intervals = (ts / holds[sig_of]).astype(np.int64)
         group_ids: Dict[Tuple[int, int], int] = {}
@@ -392,14 +411,15 @@ class PlcChannel:
         names = [f"plc.jitter.{self.name}.{jdx}" for _, jdx in group_keys]
         groups: list = []
         for g, rng in self._streams.fresh_batch(names):
-            sid, _ = group_keys[g]
-            jitter = self._draw_jitter(rng, states[sid])
-            groups.append(SnrGroup(
-                indices=np.asarray(members[g], dtype=np.intp),
-                base_snr_db=bases[sid],
-                snr_db=bases[sid] + jitter[None, :],
-                impulsive_rate_hz=rates[sid],
-                signature_index=sid))
+            sid, interval = group_keys[g]
+            jitter = self._draw_jitter(rng, jitters[sid])
+            groups.append((np.asarray(members[g], dtype=np.intp),
+                           ChannelState(
+                               signature=signatures[sid],
+                               jitter=jitters[sid], interval=interval,
+                               base_snr_db=bases[sid],
+                               snr_db=bases[sid] + jitter[None, :],
+                               impulsive_rate_hz=rates[sid])))
         return groups
 
     def is_usable(self, t: float, min_mean_snr_db: float = -2.0) -> bool:

@@ -10,10 +10,12 @@ PHY/MAC models and answers the questions the paper's tools answer:
 * ``u_etx(t)`` / ``broadcast_loss_probability(t)`` — §8's metrics.
 
 It implements the :class:`repro.medium.Link` contract (``medium == "plc"``)
-including the vectorized ``sample_series``: the channel is piecewise
-constant per (appliance signature, jitter interval), so the batch path
-evaluates the PHY/MAC chain once per group instead of once per timestamp —
-bit-identical to the scalar loop (``tests/test_medium_contract``).
+including the vectorized ``sample_series``. Every probe reads one
+:class:`~repro.plc.channel.ChannelState` through one PHY/MAC evaluation:
+a scalar probe resolves the state at its instant, and the batch path
+resolves one per (appliance signature, jitter interval) group, the
+timescales on which the channel changes, so it is bit-identical to the
+scalar loop (``tests/test_medium_contract``).
 
 This is the *tracked* view: it assumes traffic is flowing so tone maps follow
 the channel (the paper's saturated-measurement setting). The stateful
@@ -25,14 +27,14 @@ and the estimation transients in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from repro.medium.link import BatchSamplingMixin, LinkSample, LinkSeries
 from repro.obs.metrics import MetricsRegistry, global_registry
 from repro.plc import mac, phy
-from repro.plc.channel import PlcChannel
+from repro.plc.channel import ChannelState, PlcChannel
 from repro.plc.spec import PlcSpec
 from repro.sim.random import RandomStreams
 from repro.units import MBPS
@@ -58,6 +60,17 @@ class PlcSample(LinkSample):
         return self.avg_ble_bps / MBPS
 
 
+class _Reading(NamedTuple):
+    """The PHY/MAC metrics of one channel state (rates in bits/s)."""
+
+    ble_per_slot_bps: np.ndarray
+    avg_ble_bps: float
+    pb_err: float
+    capacity_bps: float
+    #: Saturated throughput before measurement noise.
+    throughput_bps: float
+
+
 class PlcLink(BatchSamplingMixin):
     """One direction of a PLC link under (assumed) saturated tracking."""
 
@@ -75,52 +88,67 @@ class PlcLink(BatchSamplingMixin):
         self.metrics = metrics if metrics is not None \
             else global_registry()
 
-    # --- BLE --------------------------------------------------------------------
+    # --- the PHY/MAC chain ---------------------------------------------------------
+
+    def _evaluate(self, state: ChannelState, tone_maps: dict) -> _Reading:
+        """The link's metrics in one channel state; every probe and
+        :meth:`sample_series` read them from here.
+
+        BLE is what a fresh tone map would carry under the jittered SNR.
+        The realised PBerr judges the *tracked* tone map, generated from
+        the smoothed channel with the standard back-off, against the
+        jittered SNR, so noisy links show elevated PBerr even though
+        their tone maps target the same error rate (Fig. 7 right). A
+        tone map depends on the signature alone: ``tone_maps`` is the
+        caller's memo of their layouts, keyed by signature.
+        """
+        per_slot = phy.ble_from_snr(state.snr_db, self.spec,
+                                    impulsive_rate_hz=state.impulsive_rate_hz)
+        avg_ble = float(np.mean(per_slot))
+        tone_map = tone_maps.get(state.signature)
+        if tone_map is None:
+            tone_map = phy.ToneMapSlots(
+                phy.bit_loading(state.base_snr_db, self.spec))
+            tone_maps[state.signature] = tone_map
+        pb = float(np.mean(tone_map.pb_error_per_slot(
+            state.snr_db, state.impulsive_rate_hz)))
+        residual = max(0.0, pb - self.spec.target_pb_error)
+        thr = self._throughput_model.throughput_bps(avg_ble, residual)
+        return _Reading(
+            ble_per_slot_bps=per_slot, avg_ble_bps=avg_ble, pb_err=pb,
+            capacity_bps=float(max(
+                self._throughput_model.throughput_bps(avg_ble), 0.0)),
+            throughput_bps=thr if thr > 0 else 0.0)
+
+    def _read(self, t: float) -> _Reading:
+        return self._evaluate(self.channel.state_at(t), {})
+
+    def _measure(self, throughput_bps: float) -> float:
+        """Add the iperf sampling noise of a real 100 ms reading: one draw
+        from the link's stream per positive reading."""
+        if throughput_bps <= 0:
+            return throughput_bps
+        return max(throughput_bps
+                   + self._rng.normal(0.0, MEASUREMENT_NOISE_BPS), 0.0)
+
+    # --- probes ---------------------------------------------------------------------
 
     def ble_per_slot_bps(self, t: float) -> np.ndarray:
         """Per-slot BLE a fresh tone map would carry at ``t`` (Fig. 9)."""
-        snr = self.channel.snr_db(t)
-        impulse = self.channel.load.impulsive_event_rate_at(
-            self.channel.dst_outlet, t)
-        return phy.ble_from_snr(snr, self.spec,
-                                impulsive_rate_hz=impulse)
+        return self._read(t).ble_per_slot_bps
 
     def avg_ble_bps(self, t: float) -> float:
         """Slot-averaged BLE — the ``int6krate`` number (§7.1)."""
-        return float(np.mean(self.ble_per_slot_bps(t)))
-
-    # --- PB errors -----------------------------------------------------------------
-
-    @staticmethod
-    def _realized_pb_err(tone_map_bits: np.ndarray, snr_db: np.ndarray,
-                         impulsive_rate_hz: float) -> float:
-        """Slot-averaged PBerr of a tone map's bits under an SNR grid."""
-        return float(np.mean(phy.pb_error_per_slot(
-            snr_db, tone_map_bits, impulsive_rate_hz)))
+        return self._read(t).avg_ble_bps
 
     def pb_err(self, t: float) -> float:
-        """Realised PB error rate under tracked tone maps (``ampstat``).
-
-        The tone map was generated from the *smoothed* channel with the
-        standard back-off; the realised error rate is evaluated against the
-        currently-jittered SNR — so noisy links show elevated PBerr even
-        though their tone maps target the same error rate (Fig. 7 right).
-        """
-        return self._realized_pb_err(
-            phy.bit_loading(self.channel.snr_db(t, include_jitter=False),
-                            self.spec),
-            self.channel.snr_db(t),
-            self.channel.load.impulsive_event_rate_at(
-                self.channel.dst_outlet, t))
-
-    # --- throughput -------------------------------------------------------------------
+        """Realised PB error rate under tracked tone maps (``ampstat``)."""
+        return self._read(t).pb_err
 
     def capacity_bps(self, t: float) -> float:
         """§7.4 application-capacity estimate: slot-averaged BLE
         (invariance-scale averaging, §6.1) through the MAC model."""
-        return float(max(
-            self._throughput_model.throughput_bps(self.avg_ble_bps(t)),
-            0.0))
+        return self._read(t).capacity_bps
 
     def throughput_bps(self, t: float, measured: bool = True) -> float:
         """Saturated UDP throughput at ``t``.
@@ -128,14 +156,8 @@ class PlcLink(BatchSamplingMixin):
         ``measured=True`` adds the small iperf sampling noise present in any
         real 100 ms throughput reading.
         """
-        ble = self.avg_ble_bps(t)
-        residual = max(0.0, self.pb_err(t) - self.spec.target_pb_error)
-        thr = self._throughput_model.throughput_bps(ble, residual)
-        if thr <= 0:
-            return 0.0
-        if measured:
-            thr += self._rng.normal(0.0, MEASUREMENT_NOISE_BPS)
-        return max(thr, 0.0)
+        thr = self._read(t).throughput_bps
+        return self._measure(thr) if measured else thr
 
     def is_connected(self, t: float,
                      min_throughput_bps: float = 1.0 * MBPS) -> bool:
@@ -158,35 +180,33 @@ class PlcLink(BatchSamplingMixin):
 
     def broadcast_loss_probability(self, t: float) -> float:
         """Loss probability of a ROBO broadcast probe (§8.1, Fig. 21)."""
-        snr = self.channel.snr_db(t)
-        return phy.robo_loss_probability(snr, self.spec)
+        return phy.robo_loss_probability(self.channel.state_at(t).snr_db,
+                                         self.spec)
 
     # --- convenience --------------------------------------------------------------------
 
     def sample(self, t: float, measured: bool = True) -> PlcSample:
         """Take a full measurement snapshot at ``t``."""
         self.metrics.inc("medium.plc.samples")
-        per_slot = self.ble_per_slot_bps(t)
-        pb = self.pb_err(t)
+        reading = self._read(t)
         return PlcSample(
             time=t,
-            capacity_bps=self.capacity_bps(t),
-            throughput_bps=self.throughput_bps(t, measured=measured),
-            loss=pb,
-            ble_per_slot_bps=per_slot,
-            avg_ble_bps=float(np.mean(per_slot)),
-            pb_err=pb,
+            capacity_bps=reading.capacity_bps,
+            throughput_bps=(self._measure(reading.throughput_bps)
+                            if measured else reading.throughput_bps),
+            loss=reading.pb_err,
+            ble_per_slot_bps=reading.ble_per_slot_bps,
+            avg_ble_bps=reading.avg_ble_bps,
+            pb_err=reading.pb_err,
         )
 
     def sample_series(self, ts: np.ndarray,
                       measured: bool = True) -> LinkSeries:
         """Vectorized :meth:`sample` over a time grid.
 
-        Runs the PHY/MAC chain once per (appliance signature, jitter
-        interval) group — the timescales on which the channel actually
-        changes — and fans the values back out to every timestamp. The
-        tone map's bits depend on the signature alone, so they are loaded
-        and laid out for PB-error evaluation once per signature.
+        Evaluates the state of each (appliance signature, jitter interval)
+        group once and fans the values back out to every timestamp; the
+        tracked tone map is laid out once per signature.
         """
         ts = np.asarray(ts, dtype=float)
         self.metrics.inc("medium.plc.series_calls")
@@ -200,30 +220,14 @@ class PlcLink(BatchSamplingMixin):
         data = series.data
         data["time"] = ts
         tone_maps: dict = {}
-        for group in self.channel.snr_series_groups(ts):
-            per_slot = phy.ble_from_snr(
-                group.snr_db, self.spec,
-                impulsive_rate_hz=group.impulsive_rate_hz)
-            avg_ble = float(np.mean(per_slot))
-            tone_map = tone_maps.get(group.signature_index)
-            if tone_map is None:
-                tone_map = phy.ToneMapSlots(
-                    phy.bit_loading(group.base_snr_db, self.spec))
-                tone_maps[group.signature_index] = tone_map
-            # The realised PBerr: this signature's tone map judged
-            # against the group's jittered grid.
-            pb = float(np.mean(tone_map.pb_error_per_slot(
-                group.snr_db, group.impulsive_rate_hz)))
-            residual = max(0.0, pb - self.spec.target_pb_error)
-            thr = self._throughput_model.throughput_bps(avg_ble, residual)
-            idx = group.indices
-            data["ble_per_slot_bps"][idx] = per_slot
-            data["avg_ble_bps"][idx] = avg_ble
-            data["pb_err"][idx] = pb
-            data["loss"][idx] = pb
-            data["capacity_bps"][idx] = max(
-                self._throughput_model.throughput_bps(avg_ble), 0.0)
-            data["throughput_bps"][idx] = thr if thr > 0 else 0.0
+        for idx, state in self.channel.snr_series_groups(ts):
+            reading = self._evaluate(state, tone_maps)
+            data["ble_per_slot_bps"][idx] = reading.ble_per_slot_bps
+            data["avg_ble_bps"][idx] = reading.avg_ble_bps
+            data["pb_err"][idx] = reading.pb_err
+            data["loss"][idx] = reading.pb_err
+            data["capacity_bps"][idx] = reading.capacity_bps
+            data["throughput_bps"][idx] = reading.throughput_bps
         if measured:
             thr_col = data["throughput_bps"]
             positive = thr_col > 0

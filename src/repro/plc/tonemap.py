@@ -14,13 +14,13 @@ produces the inter-update times ``α`` studied in Fig. 11.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
 
 from repro.plc import phy
-from repro.plc.channel import PlcChannel
+from repro.plc.channel import ChannelState, PlcChannel
 from repro.plc.spec import PlcSpec
 
 
@@ -78,13 +78,13 @@ def generate_tone_map(channel: PlcChannel, t: float, tmi: int,
     SNR instead of the true one (§7's convergence experiments).
     """
     spec = channel.spec
-    snr = (snr_override if snr_override is not None
-           else channel.snr_db(t))
+    state = channel.state_at(t)
+    snr = snr_override if snr_override is not None else state.snr_db
     bits = phy.bit_loading(snr, spec, backoff_db)
-    impulse_rate = channel.load.impulsive_event_rate_at(channel.dst_outlet, t)
     # Definition 1: one PBerr value is embedded — the expected rate for the
     # link, i.e. the slot average at generation time.
-    pb_err = float(np.mean(phy.pb_error_per_slot(snr, bits, impulse_rate)))
+    pb_err = float(np.mean(phy.pb_error_per_slot(
+        snr, bits, state.impulsive_rate_hz)))
     pb_err = max(pb_err, spec.target_pb_error * 0.25)
     return ToneMap(tmi=tmi, bits=bits, fec_rate=spec.fec_rate, pb_err=pb_err,
                    created_at=t, symbol_duration_s=spec.symbol_duration_s)
@@ -134,23 +134,17 @@ class ToneMapProcess:
     def now(self) -> float:
         return self._now
 
-    def _fresh_ble(self, t: float) -> float:
-        """Average BLE a regenerated tone map would have at ``t``."""
-        snr = self.channel.snr_db(t)
-        return float(np.mean(phy.ble_from_snr(snr, self.spec,
-                                              self.backoff_db)))
-
     def realized_pb_error(self, t: float) -> float:
         """PB error rate the *current* tone map suffers at time ``t``.
 
         The tone map was built for past channel conditions; jitter since then
         shifts the margins, which is what the error monitor reacts to.
         """
-        snr = self.channel.snr_db(t)
-        impulse_rate = self.channel.load.impulsive_event_rate_at(
-            self.channel.dst_outlet, t)
+        return self._realized_pb_error(self.channel.state_at(t))
+
+    def _realized_pb_error(self, state: ChannelState) -> float:
         return float(np.mean(phy.pb_error_per_slot(
-            snr, self.tone_map.bits, impulse_rate)))
+            state.snr_db, self.tone_map.bits, state.impulsive_rate_hz)))
 
     def _regenerate(self, t: float, reason: str) -> None:
         self.tone_map = generate_tone_map(
@@ -171,15 +165,15 @@ class ToneMapProcess:
                 continue
             # Within one (appliance signature, jitter interval) window the
             # channel is constant, so the evaluation can be reused.
-            _, jitter_state = self.channel.jitter_db(current)
-            key = (self.load_signature(current),
-                   int(current / jitter_state.hold_time_s),
-                   self.tone_map.tmi)
+            state = self.channel.state_at(current)
+            key = (state.signature, state.interval, self.tone_map.tmi)
             if key == self._eval_key and self._eval_value is not None:
                 realized, fresh = self._eval_value
             else:
-                realized = self.realized_pb_error(current)
-                fresh = self._fresh_ble(current)
+                realized = self._realized_pb_error(state)
+                # The average BLE a regenerated tone map would have.
+                fresh = float(np.mean(phy.ble_from_snr(
+                    state.snr_db, self.spec, self.backoff_db)))
                 self._eval_key = key
                 self._eval_value = (realized, fresh)
             if realized >= self.spec.tone_map_error_threshold:
@@ -189,10 +183,6 @@ class ToneMapProcess:
             if have > 0 and abs(fresh - have) / have > self.drift_threshold:
                 self._regenerate(current, "drift")
         self._now = t
-
-    def load_signature(self, t: float) -> tuple:
-        """Appliance on/off signature at ``t`` (channel cache key)."""
-        return self.channel.load.state_signature(t)
 
     def ble_update_interarrivals(self) -> np.ndarray:
         """The α samples of Fig. 11: times between tone-map regenerations."""

@@ -159,35 +159,19 @@ def _artifact_bytes_delta(path_a: Path, path_b: Path, label_a: str,
     return ["artifacts differ (same lines, different bytes)"]
 
 
-def diff_inline_vs_pool(specs: Sequence, out_dir: Path,
-                        workers: int = 2, name: str = "verify"
-                        ) -> List[str]:
-    """Campaign artifacts must be byte-identical at any worker count."""
-    from repro.campaign.engine import run_campaign
-
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path_inline = out_dir / "inline.jsonl"
-    path_pool = out_dir / f"pool{workers}.jsonl"
-    run_campaign(specs, path_inline, name=name, workers=0, resume=False)
-    run_campaign(specs, path_pool, name=name, workers=workers,
-                 resume=False)
-    return _artifact_bytes_delta(path_inline, path_pool, "inline",
-                                 f"pool({workers})")
-
-
 def diff_backend_equivalence(specs: Sequence, out_dir: Path,
-                             backends: Sequence[Tuple[str, int]] = (
-                                 ("inline", 0), ("process", 4),
-                                 ("thread", 4), ("chunked", 4)),
-                             chunk_size: int = 3, name: str = "verify",
+                             backends: Sequence[Tuple[str, int, int]] = (
+                                 ("inline", 0, 1), ("process", 4, 1),
+                                 ("thread", 4, 1), ("process", 4, 3)),
+                             name: str = "verify",
                              trace: bool = True) -> List[str]:
     """The execute plane's core promise: artifacts (and trace sidecars)
     are byte-identical whichever :mod:`repro.campaign.backends` mechanism
-    ran the campaign, at any worker count.
+    ran the campaign, at any worker count and chunk size.
 
-    ``backends`` is a list of ``(backend_name, workers)`` pairs; the
-    first entry is the reference the rest are compared against.
+    ``backends`` is a list of ``(backend_name, workers, chunk_size)``
+    triples; the first entry is the reference the rest are compared
+    against.
     """
     from repro.campaign.engine import run_campaign
     from repro.obs.trace import trace_path_for
@@ -195,12 +179,13 @@ def diff_backend_equivalence(specs: Sequence, out_dir: Path,
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = []
-    for backend, workers in backends:
-        path = out_dir / f"{backend}-w{workers}.jsonl"
+    for backend, workers, chunk_size in backends:
+        label = f"{backend}-w{workers}-c{chunk_size}"
+        path = out_dir / f"{label}.jsonl"
         run_campaign(specs, path, name=name, workers=workers,
                      backend=backend, chunk_size=chunk_size,
                      resume=False, trace=trace)
-        paths.append((f"{backend}(w{workers})", path))
+        paths.append((label, path))
     diffs: List[str] = []
     ref_label, ref_path = paths[0]
     for label, path in paths[1:]:

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 from pathlib import Path
 from typing import Any, Dict, Iterable, Iterator, TextIO, Tuple, Union
 
@@ -95,10 +94,14 @@ def check_envelope(data: Any, fmt: str, version: int,
 def atomic_write(path: PathLike, text: str) -> None:
     """Replace ``path`` with ``text``: a unique tmp file in the target's
     directory, flushed and fsynced, then renamed over the target. On any
-    failure the tmp file is removed and the old file stays as it was."""
+    failure the tmp file is removed and the old file stays as it was.
+
+    The tmp file is created with mode ``0o666`` for the kernel to mask,
+    so the file follows the umask exactly as one made by ``open()``.
+    """
     path = Path(path)
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name,
-                                    suffix=".tmp")
+    tmp_name = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp_name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)

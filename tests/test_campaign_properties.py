@@ -313,21 +313,22 @@ mixed_spec_lists = st.lists(
 def test_artifacts_identical_across_all_backends(specs, tmp_path_factory):
     """PR 7's execute-plane contract: whichever
     :mod:`repro.campaign.backends` mechanism runs a mixed-kind campaign
-    — inline, process pool, thread pool, or chunked batching — and at
-    any worker count, the finalized artifact bytes are identical."""
+    — inline, process pool (one spec or a chunk per round-trip), or
+    thread pool — and at any worker count, the finalized artifact bytes
+    are identical."""
     base = tmp_path_factory.mktemp("backends")
     reference = None
-    for n, (backend, workers) in enumerate(
-            [("inline", 0),
-             ("process", 1), ("process", 4),
-             ("thread", 1), ("thread", 4),
-             ("chunked", 1), ("chunked", 4)]):
-        path = base / f"{n}-{backend}-w{workers}.jsonl"
+    for n, (backend, workers, chunk_size) in enumerate(
+            [("inline", 0, 1),
+             ("process", 1, 1), ("process", 4, 1),
+             ("thread", 1, 1), ("thread", 4, 1),
+             ("process", 1, 2), ("process", 4, 2)]):
+        path = base / f"{n}-{backend}-w{workers}-c{chunk_size}.jsonl"
         stats = run_campaign(specs, path, workers=workers,
-                             backend=backend, chunk_size=2)
+                             backend=backend, chunk_size=chunk_size)
         assert stats.completed == len(specs)
         blob = path.read_bytes()
         if reference is None:
             reference = blob
         else:
-            assert blob == reference, f"{backend} w{workers}"
+            assert blob == reference, f"{backend} w{workers} c{chunk_size}"

@@ -101,30 +101,35 @@ def test_noise_varies_per_slot():
     assert slot_means.max() - slot_means.min() > 0.5
 
 
+def _jitter(state):
+    """The per-slot jitter a channel state carries (dB, per carrier)."""
+    return state.snr_db - state.base_snr_db
+
+
 def test_jitter_sigma_tracks_noise_dominance():
     load = _loaded_grid()
     noisy = PlcChannel(load, "o3", "o1", HPAV, RandomStreams(3))
     quiet = PlcChannel(load, "o3", "o0", HPAV, RandomStreams(3))
-    s_noisy = noisy.jitter_state(NOON)
-    s_quiet = quiet.jitter_state(NOON)
+    s_noisy = noisy.state_at(NOON).jitter
+    s_quiet = quiet.state_at(NOON).jitter
     assert s_noisy.sigma_db > s_quiet.sigma_db
     assert s_noisy.hold_time_s < s_quiet.hold_time_s
 
 
 def test_jitter_is_piecewise_constant():
     ch = PlcChannel(_loaded_grid(), "o0", "o1", HPAV, RandomStreams(3))
-    state = ch.jitter_state(NOON)
+    state = ch.state_at(NOON).jitter
     t0 = NOON - (NOON % state.hold_time_s)
-    j1, _ = ch.jitter_db(t0 + 0.001)
-    j2, _ = ch.jitter_db(t0 + 0.002)
+    j1 = _jitter(ch.state_at(t0 + 0.001))
+    j2 = _jitter(ch.state_at(t0 + 0.002))
     assert np.allclose(j1, j2)
 
 
 def test_jitter_changes_across_hold_intervals():
     ch = PlcChannel(_loaded_grid(), "o0", "o1", HPAV, RandomStreams(3))
-    state = ch.jitter_state(NOON)
-    j1, _ = ch.jitter_db(NOON)
-    j2, _ = ch.jitter_db(NOON + 3 * state.hold_time_s)
+    state = ch.state_at(NOON).jitter
+    j1 = _jitter(ch.state_at(NOON))
+    j2 = _jitter(ch.state_at(NOON + 3 * state.hold_time_s))
     assert not np.allclose(j1, j2)
 
 
@@ -138,12 +143,14 @@ def test_jitter_memo_is_keyed_by_the_whole_state():
     t = 105.0
     reads = []
     for state in (calm, dipped):
-        ch.jitter_state = lambda _t, state=state: state
-        jitter, read_state = ch.jitter_db(t)
-        assert read_state == state
+        ch._jitter_state = lambda _sig, _rate, state=state: state
+        read = ch.state_at(t)
+        assert read.jitter == state and read.interval == 5
         rng = RandomStreams(3).fresh(f"plc.jitter.{ch.name}.5")
-        assert jitter.tobytes() == ch._draw_jitter(rng, state).tobytes()
-        reads.append(jitter)
+        draw = ch._draw_jitter(rng, state)
+        assert read.snr_db.tobytes() == (
+            read.base_snr_db + draw[None, :]).tobytes()
+        reads.append(read.snr_db)
     assert np.all(reads[1] < reads[0])
 
 

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.plc.tonemap import ToneMapProcess, generate_tone_map
+from repro.powergrid.load import ElectricalLoad
 from repro.units import MBPS
 
 
@@ -61,3 +63,54 @@ def test_is_connected_threshold(testbed, t_work):
     assert testbed.plc_link(0, 1).is_connected(t_work)
     assert not testbed.plc_link(0, 1).is_connected(
         t_work, min_throughput_bps=1e9)
+
+
+# --- the channel is resolved once per probe -----------------------------------
+
+
+#: probe -> the most signature evaluations one call may make.
+#: ``is_connected`` checks usability, then reads the throughput.
+PROBES = {"sample": 1, "throughput_bps": 1, "capacity_bps": 1,
+          "avg_ble_bps": 1, "ble_per_slot_bps": 1, "pb_err": 1, "u_etx": 1,
+          "is_connected": 2}
+
+
+@pytest.fixture()
+def signature_calls(monkeypatch):
+    """Count :meth:`ElectricalLoad.state_signature` evaluations."""
+    calls = []
+    original = ElectricalLoad.state_signature
+
+    def counting(self, t):
+        calls.append(t)
+        return original(self, t)
+
+    monkeypatch.setattr(ElectricalLoad, "state_signature", counting)
+    return calls
+
+
+@pytest.mark.parametrize("probe", sorted(PROBES))
+def test_probe_resolves_the_channel_once(testbed, t_work, signature_calls,
+                                         probe):
+    """Every probe reads one ``ChannelState``: one appliance-signature
+    evaluation at a fresh instant, however many metrics it derives."""
+    link = testbed.plc_link(0, 1)
+    getattr(link, probe)(t_work + 0.5 + sorted(PROBES).index(probe))
+    assert 1 <= len(signature_calls) <= PROBES[probe]
+
+
+def test_tone_maps_resolve_the_channel_once_per_step(testbed, t_night,
+                                                     signature_calls):
+    channel = testbed.plc_link(0, 1).channel
+    generate_tone_map(channel, t_night + 0.5, tmi=1)
+    assert len(signature_calls) == 1
+    process = ToneMapProcess(channel, start_time=t_night + 1.0)
+    signature_calls.clear()
+    steps = 200
+    process.advance(t_night + 1.0 + steps * process.check_interval + 1e-9)
+    regenerations = process.updates[1:]
+    assert regenerations
+    expiries = sum(u.reason == "expiry" for u in regenerations)
+    # A check step reads one state, an expiry step none; every
+    # regeneration reads one more.
+    assert len(signature_calls) == steps - expiries + len(regenerations)

@@ -8,7 +8,8 @@ thread backend runs tasks on such forks concurrently, so every memo
 reachable from a fork must return what a single thread computes,
 whatever the interleaving. The first test drives four forks over
 disjoint and overlapping time windows with a tiny switch interval and
-compares every jitter read and every ``state_matrix`` row with a
+compares every ``state_matrix`` row and every channel state read
+through ``state_at`` (signature, jittered SNR, impulse rate) with a
 single-threaded reference from an independent build of the same world.
 The second starts the forks from freshly compiled worlds, whose
 geometry memos are still empty, so they race to resolve them first.
@@ -51,25 +52,34 @@ def _pair(world):
     return pairs[len(pairs) // 3]
 
 
+def _state_bytes(state):
+    """What a channel state's readers see: signature, jittered SNR and
+    impulse rate."""
+    return (state.signature, state.snr_db.tobytes(),
+            state.impulsive_rate_hz)
+
+
 def test_forks_share_memos_safely_under_contention():
     windows = _windows()
     reference = compile_testbed(PRESET, seed=SEED).template
     i, j = _pair(reference)
     ref_channel = reference.plc_link(i, j).channel
-    ref_jitter = {}
+    ref_states = {}
     ref_rows = {}
     for ts in windows:
         for row, t in zip(reference.load.state_matrix(ts), ts.tolist()):
             ref_rows[t] = row.tobytes()
-            jitter, state = ref_channel.jitter_db(t)
-            ref_jitter[t] = jitter.tobytes()
+            state = ref_channel.state_at(t)
+            ref_states[t] = _state_bytes(state)
             # The jitter memo is keyed by (interval, state); every read
             # must be the draw that key replays.
-            index = int(t / state.hold_time_s)
+            index = int(t / state.jitter.hold_time_s)
+            assert state.interval == index
             rng = reference.streams.fresh(
                 f"plc.jitter.{ref_channel.name}.{index}")
-            assert jitter.tobytes() == ref_channel._draw_jitter(
-                rng, state).tobytes()
+            jitter = ref_channel._draw_jitter(rng, state.jitter)
+            assert state.snr_db.tobytes() == (
+                state.base_snr_db + jitter[None, :]).tobytes()
 
     compiled = compile_testbed(PRESET, seed=SEED)
     forks = [compiled.instantiate() for _ in windows]
@@ -93,9 +103,8 @@ def test_forks_share_memos_safely_under_contention():
                     for row, t in zip(rows, chunk):
                         if row.tobytes() != ref_rows[t]:
                             wrong.append(("state_matrix", t))
-                        jitter, _ = ch.jitter_db(t)
-                        if jitter.tobytes() != ref_jitter[t]:
-                            wrong.append(("jitter", t))
+                        if _state_bytes(ch.state_at(t)) != ref_states[t]:
+                            wrong.append(("state_at", t))
                         reads[k] += 1
                     if time.monotonic() >= deadline:
                         return

@@ -14,7 +14,6 @@ from repro.verify.oracles import (
     diff_backend_equivalence,
     diff_default_horizon,
     diff_fault_replay,
-    diff_inline_vs_pool,
     diff_scalar_vs_vectorized,
     diff_seed_relabeling,
     diff_traced_vs_untraced,
@@ -101,17 +100,8 @@ def _probe_specs(n=3):
                                 draws=3) for k in range(n)]
 
 
-def test_inline_vs_pool_and_traced_vs_untraced(tmp_path):
-    specs = _probe_specs()
-    assert diff_inline_vs_pool(specs, tmp_path / "pool",
-                               workers=2) == []
-    assert diff_traced_vs_untraced(specs, tmp_path / "trace") == []
-
-
-def test_inline_vs_pool_creates_missing_out_dir(tmp_path):
-    nested = tmp_path / "a" / "b" / "c"
-    assert diff_inline_vs_pool(_probe_specs(1), nested, workers=2) == []
-    assert (nested / "inline.jsonl").exists()
+def test_traced_vs_untraced(tmp_path):
+    assert diff_traced_vs_untraced(_probe_specs(), tmp_path / "trace") == []
 
 
 def test_backend_equivalence_oracle_passes_on_mixed_kinds(tmp_path):
@@ -121,12 +111,18 @@ def test_backend_equivalence_oracle_passes_on_mixed_kinds(tmp_path):
         ExperimentSpec.make("survey_pair", "mini3", seed=SEED,
                             src=0, dst=1, duration_s=1.0,
                             interval_s=0.5)]
-    assert diff_backend_equivalence(specs, tmp_path / "backends",
-                                    chunk_size=2) == []
-    for backend, workers in [("inline", 0), ("process", 4),
-                             ("thread", 4), ("chunked", 4)]:
-        assert (tmp_path / "backends"
-                / f"{backend}-w{workers}.jsonl").exists()
+    assert diff_backend_equivalence(specs, tmp_path / "backends") == []
+    for label in ["inline-w0-c1", "process-w4-c1", "thread-w4-c1",
+                  "process-w4-c3"]:
+        assert (tmp_path / "backends" / f"{label}.jsonl").exists()
+
+
+def test_backend_equivalence_creates_missing_out_dir(tmp_path):
+    nested = tmp_path / "a" / "b" / "c"
+    assert diff_backend_equivalence(
+        _probe_specs(1), nested,
+        backends=[("inline", 0, 1), ("process", 2, 2)]) == []
+    assert (nested / "inline-w0-c1.jsonl").exists()
 
 
 # --- seed relabeling ----------------------------------------------------------

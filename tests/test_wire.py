@@ -11,6 +11,7 @@ writes.
 * The crash-safety test makes the rename of each whole-file writer fail
   and checks that the old bytes survive, that no tmp file is left
   behind, and that the tmp file was fsynced before the rename.
+* Every whole file follows the umask, as a file made by ``open()`` does.
 * A static scan keeps the JSON codec and the atomic-write primitives
   inside ``repro.wire`` (ruff's banned-api lint says the same in CI).
 """
@@ -20,6 +21,7 @@ from __future__ import annotations
 import json
 import os
 import re
+import stat
 from pathlib import Path
 
 import pytest
@@ -268,6 +270,24 @@ def test_whole_file_writer_survives_a_failed_rename(tmp_path, monkeypatch,
     # The tmp file renamed over the target was fsynced first.
     assert calls[-1][0] == "replace"
     assert ("fsync", calls[-1][1]) in calls[:-1]
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
+@pytest.mark.parametrize("fmt", sorted(FORMATS))
+def test_whole_file_writer_follows_the_umask(tmp_path, fmt, umask):
+    """Every written file gets the mode ``open(path, "w")`` gives a new
+    file in its directory under the same umask."""
+    write, _, _ = FORMATS[fmt]
+    previous = os.umask(umask)
+    try:
+        path = write(tmp_path, 1)
+        reference = path.parent / "made-by-open"
+        with open(reference, "w", encoding="utf-8"):
+            pass
+    finally:
+        os.umask(previous)
+    assert (stat.S_IMODE(path.stat().st_mode)
+            == stat.S_IMODE(reference.stat().st_mode)), oct(umask)
 
 
 # --- one implementation -------------------------------------------------------
