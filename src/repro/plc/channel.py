@@ -37,6 +37,7 @@ from repro.powergrid.load import (
     ElectricalLoad,
     dbm_to_mw,
 )
+from repro.plc import phy
 from repro.plc.spec import PlcSpec
 from repro.sim.random import RandomStreams
 
@@ -70,6 +71,11 @@ LOCAL_LOAD_RADIUS_M = 8.0
 #: long* paths (many rooms away) lossy even though bare cable is nearly
 #: transparent.
 JUNCTION_LOSS_DB = 2.1
+
+#: Tap states whose path loss a direction keeps before starting over. A
+#: two-week run probed every two hours sees 27-31 per direction; an
+#: entry is one float per carrier (7.3 kB on AV, 19.6 kB on AV500).
+_PATH_LOSS_MEMO_LIMIT = 64
 
 
 class _Tap(NamedTuple):
@@ -127,6 +133,13 @@ class ChannelState:
     impulsive_rate_hz: float
 
 
+def tracked_layout(state: ChannelState, spec: PlcSpec) -> phy.ToneMapSlots:
+    """The layout of the tone map a saturated link tracks in ``state``:
+    the bit loading of the jitter-free SNR at the standard back-off. It
+    depends on the signature alone."""
+    return phy.ToneMapSlots(phy.bit_loading(state.base_snr_db, spec))
+
+
 class PlcChannel:
     """One *direction* of a PLC link (src transmits, dst receives)."""
 
@@ -156,16 +169,18 @@ class PlcChannel:
         if rng.uniform() < 0.3:
             self._direction_loss_db += float(rng.uniform(1.5, 5.5))
         self._connected = load.grid.connected(src_outlet, dst_outlet)
-        # The direction's static geometry, resolved on first use. Memos
-        # keyed by appliance on/off signature, and the jitter memo keyed
-        # by (hold interval, jitter state). Forks share the channel across
-        # threads, so each memo is one immutable value (the keyed ones a
-        # (key, value) tuple): written with one assignment, read once.
+        # The direction's static geometry, resolved on first use; path
+        # losses by tap states; the base SNR and the tracked tone-map
+        # layout of the last signature; the jitter of the last (hold
+        # interval, jitter state). Forks share the channel across
+        # threads, so every memo holds immutable values, written with
+        # one assignment (a (key, value) tuple) or one dict insert.
         self._geometry: Optional[_DirectionGeometry] = None
-        self._pathloss_cache: Tuple[Optional[tuple], Optional[np.ndarray]] = (
-            None, None)
+        self._path_losses: Dict[tuple, np.ndarray] = {}
         self._snr_cache: Tuple[Optional[tuple], Optional[np.ndarray]] = (
             None, None)
+        self._layout_cache: Tuple[Optional[tuple],
+                                  Optional[phy.ToneMapSlots]] = (None, None)
         self._jitter_cache: Tuple[Optional[tuple], Optional[np.ndarray]] = (
             None, None)
 
@@ -176,13 +191,22 @@ class PlcChannel:
         return self._path_loss_for(self.load.state_signature(t))
 
     def _path_loss_for(self, signature: tuple) -> np.ndarray:
+        """Path loss of a signature, memoized by the direction's tap
+        states: the loss reads nothing else of the signature."""
         if not self._connected:
             return np.full(self.spec.num_carriers, 200.0)
-        key, cached = self._pathloss_cache
-        if key == signature and cached is not None:
-            return cached
-        loss = self._compute_path_loss(signature)
-        self._pathloss_cache = (signature, loss)
+        geometry = self._geometry
+        if geometry is None:
+            geometry = self._resolve_geometry()
+        taps = tuple(signature[tap.index] for tap in geometry.taps)
+        memo = self._path_losses
+        loss = memo.get(taps)
+        if loss is None:
+            loss = self._compute_path_loss(signature)
+            loss.flags.writeable = False
+            if len(memo) >= _PATH_LOSS_MEMO_LIMIT:
+                memo.clear()
+            memo[taps] = loss
         return loss
 
     def _resolve_geometry(self) -> _DirectionGeometry:
@@ -350,6 +374,20 @@ class PlcChannel:
         base = (self.spec.tx_psd_dbm_hz - loss)[:, None] - noise
         self._snr_cache = (signature, base)
         return base
+
+    def tracked_layout(self, state: ChannelState) -> phy.ToneMapSlots:
+        """:func:`tracked_layout` of ``state``, memoized for the scalar
+        path as one ``(signature, layout)`` tuple.
+
+        The batch path lays its groups out per call instead, so a
+        direction sampled once keeps no layout (one is up to ~50 kB).
+        """
+        key, cached = self._layout_cache
+        if key == state.signature and cached is not None:
+            return cached
+        layout = tracked_layout(state, self.spec)
+        self._layout_cache = (state.signature, layout)
+        return layout
 
     def mean_snr_db(self, t: float) -> float:
         """Carrier/slot-average SNR (quick quality scalar)."""

@@ -34,7 +34,7 @@ import numpy as np
 from repro.medium.link import BatchSamplingMixin, LinkSample, LinkSeries
 from repro.obs.metrics import MetricsRegistry, global_registry
 from repro.plc import mac, phy
-from repro.plc.channel import ChannelState, PlcChannel
+from repro.plc.channel import ChannelState, PlcChannel, tracked_layout
 from repro.plc.spec import PlcSpec
 from repro.sim.random import RandomStreams
 from repro.units import MBPS
@@ -90,7 +90,8 @@ class PlcLink(BatchSamplingMixin):
 
     # --- the PHY/MAC chain ---------------------------------------------------------
 
-    def _evaluate(self, state: ChannelState, tone_maps: dict) -> _Reading:
+    def _evaluate(self, state: ChannelState,
+                  layout: phy.ToneMapSlots) -> _Reading:
         """The link's metrics in one channel state; every probe and
         :meth:`sample_series` read them from here.
 
@@ -98,19 +99,14 @@ class PlcLink(BatchSamplingMixin):
         The realised PBerr judges the *tracked* tone map, generated from
         the smoothed channel with the standard back-off, against the
         jittered SNR, so noisy links show elevated PBerr even though
-        their tone maps target the same error rate (Fig. 7 right). A
-        tone map depends on the signature alone: ``tone_maps`` is the
-        caller's memo of their layouts, keyed by signature.
+        their tone maps target the same error rate (Fig. 7 right).
+        ``layout`` is that tone map's layout
+        (:func:`~repro.plc.channel.tracked_layout` of ``state``).
         """
         per_slot = phy.ble_from_snr(state.snr_db, self.spec,
                                     impulsive_rate_hz=state.impulsive_rate_hz)
         avg_ble = float(np.mean(per_slot))
-        tone_map = tone_maps.get(state.signature)
-        if tone_map is None:
-            tone_map = phy.ToneMapSlots(
-                phy.bit_loading(state.base_snr_db, self.spec))
-            tone_maps[state.signature] = tone_map
-        pb = float(np.mean(tone_map.pb_error_per_slot(
+        pb = float(np.mean(layout.pb_error_per_slot(
             state.snr_db, state.impulsive_rate_hz)))
         residual = max(0.0, pb - self.spec.target_pb_error)
         thr = self._throughput_model.throughput_bps(avg_ble, residual)
@@ -121,7 +117,8 @@ class PlcLink(BatchSamplingMixin):
             throughput_bps=thr if thr > 0 else 0.0)
 
     def _read(self, t: float) -> _Reading:
-        return self._evaluate(self.channel.state_at(t), {})
+        state = self.channel.state_at(t)
+        return self._evaluate(state, self.channel.tracked_layout(state))
 
     def _measure(self, throughput_bps: float) -> float:
         """Add the iperf sampling noise of a real 100 ms reading: one draw
@@ -206,7 +203,8 @@ class PlcLink(BatchSamplingMixin):
 
         Evaluates the state of each (appliance signature, jitter interval)
         group once and fans the values back out to every timestamp; the
-        tracked tone map is laid out once per signature.
+        tracked tone map is laid out once per signature in the call, and
+        not kept on the channel.
         """
         ts = np.asarray(ts, dtype=float)
         self.metrics.inc("medium.plc.series_calls")
@@ -219,9 +217,13 @@ class PlcLink(BatchSamplingMixin):
             name=self.name, medium=self.medium)
         data = series.data
         data["time"] = ts
-        tone_maps: dict = {}
+        layouts: dict = {}
         for idx, state in self.channel.snr_series_groups(ts):
-            reading = self._evaluate(state, tone_maps)
+            layout = layouts.get(state.signature)
+            if layout is None:
+                layout = tracked_layout(state, self.spec)
+                layouts[state.signature] = layout
+            reading = self._evaluate(state, layout)
             data["ble_per_slot_bps"][idx] = reading.ble_per_slot_bps
             data["avg_ble_bps"][idx] = reading.avg_ble_bps
             data["pb_err"][idx] = reading.pb_err

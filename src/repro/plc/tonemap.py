@@ -14,7 +14,7 @@ produces the inter-update times ``α`` studied in Fig. 11.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Optional
 
 import numpy as np
@@ -41,6 +41,9 @@ class ToneMap:
         Definition 1).
     created_at:
         Simulated creation time (s).
+    slots:
+        ``bits`` laid out for PB-error evaluation; laid out here when
+        not given.
     """
 
     tmi: int
@@ -49,6 +52,8 @@ class ToneMap:
     pb_err: float
     created_at: float
     symbol_duration_s: float
+    slots: Optional[phy.ToneMapSlots] = field(default=None, repr=False,
+                                              compare=False)
 
     def __post_init__(self) -> None:
         per_slot = phy.ble_bps(self.bits.sum(axis=0).astype(float),
@@ -56,6 +61,8 @@ class ToneMap:
                                self.symbol_duration_s)
         # Frozen dataclass: stash derived values via object.__setattr__.
         object.__setattr__(self, "_ble_per_slot", per_slot)
+        if self.slots is None:
+            object.__setattr__(self, "slots", phy.ToneMapSlots(self.bits))
 
     def ble_per_slot_bps(self) -> np.ndarray:
         """BLE of each tone-map slot (bits/s)."""
@@ -81,13 +88,15 @@ def generate_tone_map(channel: PlcChannel, t: float, tmi: int,
     state = channel.state_at(t)
     snr = snr_override if snr_override is not None else state.snr_db
     bits = phy.bit_loading(snr, spec, backoff_db)
+    slots = phy.ToneMapSlots(bits)
     # Definition 1: one PBerr value is embedded — the expected rate for the
     # link, i.e. the slot average at generation time.
-    pb_err = float(np.mean(phy.pb_error_per_slot(
-        snr, bits, state.impulsive_rate_hz)))
+    pb_err = float(np.mean(slots.pb_error_per_slot(
+        snr, state.impulsive_rate_hz)))
     pb_err = max(pb_err, spec.target_pb_error * 0.25)
     return ToneMap(tmi=tmi, bits=bits, fec_rate=spec.fec_rate, pb_err=pb_err,
-                   created_at=t, symbol_duration_s=spec.symbol_duration_s)
+                   created_at=t, symbol_duration_s=spec.symbol_duration_s,
+                   slots=slots)
 
 
 @dataclass
@@ -143,8 +152,8 @@ class ToneMapProcess:
         return self._realized_pb_error(self.channel.state_at(t))
 
     def _realized_pb_error(self, state: ChannelState) -> float:
-        return float(np.mean(phy.pb_error_per_slot(
-            state.snr_db, self.tone_map.bits, state.impulsive_rate_hz)))
+        return float(np.mean(self.tone_map.slots.pb_error_per_slot(
+            state.snr_db, state.impulsive_rate_hz)))
 
     def _regenerate(self, t: float, reason: str) -> None:
         self.tone_map = generate_tone_map(

@@ -87,9 +87,12 @@ class ElectricalLoad:
         self.activity = activity
         self.num_slots = num_slots
         self._noise_cache: Dict[str, _NoiseCacheEntry] = {}
-        # Receiver outlet -> its static row. Forks share the load: every
-        # memo here is an immutable value written with one insert.
+        # Receiver outlet -> its static row, and the last instant's
+        # signature with the overlay it was read under. Forks share the
+        # load: every memo here is an immutable value written with one
+        # insert or one assignment.
         self._rows: Dict[str, _ReceiverRow] = {}
+        self._signature_memo: tuple = (None, None, None)
         # Pre-normalised slot profiles, shape (n_appliances, num_slots).
         self._slot_profiles = np.array(
             [a.kind.slot_noise_multipliers() for a in self.appliances]
@@ -101,8 +104,20 @@ class ElectricalLoad:
 
     def state_signature(self, t: float) -> Tuple[bool, ...]:
         """On/off vector of all appliances at ``t`` (sorted by instance):
-        the one-row view of :meth:`state_matrix`."""
-        return self.activity.state_signature(self.appliances, t)
+        the one-row view of :meth:`state_matrix`.
+
+        Memoized for the last instant, keyed on ``t`` and the identity
+        of the activity overlay: the channels of one load probed at one
+        instant evaluate the schedule once, and installing or removing
+        an overlay shows at once.
+        """
+        overlay = self.activity.overlay
+        memo_t, memo_overlay, signature = self._signature_memo
+        if memo_t == t and memo_overlay is overlay:
+            return signature
+        signature = self.activity.state_signature(self.appliances, t)
+        self._signature_memo = (t, overlay, signature)
+        return signature
 
     def state_matrix(self, ts) -> np.ndarray:
         """On/off state of every appliance at every instant of ``ts``:

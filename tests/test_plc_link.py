@@ -3,7 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.compile import compile_testbed
+from repro.plc.channel import PlcChannel
 from repro.plc.tonemap import ToneMapProcess, generate_tone_map
+from repro.powergrid.activity import OfficeActivityModel
 from repro.powergrid.load import ElectricalLoad
 from repro.units import MBPS
 
@@ -114,3 +117,51 @@ def test_tone_maps_resolve_the_channel_once_per_step(testbed, t_night,
     # A check step reads one state, an expiry step none; every
     # regeneration reads one more.
     assert len(signature_calls) == steps - expiries + len(regenerations)
+
+
+# --- what the scalar path resolves once per distinct state ---------------------
+
+
+def test_two_directions_of_one_load_evaluate_the_schedule_once(
+        testbed, t_work, monkeypatch):
+    """The runner probes both directions of a pair at each instant; the
+    load's signature memo answers the second from the first."""
+    calls = []
+    original = OfficeActivityModel.state_matrix
+
+    def counting(self, appliances, ts):
+        calls.append(ts)
+        return original(self, appliances, ts)
+
+    monkeypatch.setattr(OfficeActivityModel, "state_matrix", counting)
+    t = t_work + 1234.25
+    forward = testbed.plc_link(0, 1).throughput_bps(t, measured=False)
+    backward = testbed.plc_link(1, 0).throughput_bps(t, measured=False)
+    assert len(calls) == 1
+    assert forward > 0 and backward > 0
+
+
+def test_path_loss_runs_once_per_tap_state(t_work, monkeypatch):
+    """Over the 168 two-hour instants of a two-week run (the ``mini3``
+    long-haul flow 0->1 at a two-hour quantum), a direction computes its
+    path loss once per distinct state of its own taps, however often the
+    building-wide signature changes."""
+    world = compile_testbed("mini3", seed=7).template
+    link = world.plc_link(0, 1)
+    computed = []
+    original = PlcChannel._compute_path_loss
+
+    def counting(self, signature):
+        computed.append(signature)
+        return original(self, signature)
+
+    monkeypatch.setattr(PlcChannel, "_compute_path_loss", counting)
+    instants = (t_work + 7200.0 * np.arange(168)).tolist()
+    for t in instants:
+        link.throughput_bps(t, measured=False)
+    signatures = [world.load.state_signature(t) for t in instants]
+    taps = [k for k, _, _ in world.load.tap_geometry(
+        link.channel.src_outlet, link.channel.dst_outlet)]
+    tap_states = {tuple(sig[k] for k in taps) for sig in signatures}
+    changes = 1 + sum(a != b for a, b in zip(signatures, signatures[1:]))
+    assert len(computed) == len(tap_states) < changes

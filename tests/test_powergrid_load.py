@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.compile import compile_testbed
+from repro.faults import ANY_TARGET, FaultEvent, FaultPlan, inject_surges
 from repro.powergrid.activity import OfficeActivityModel
 from repro.powergrid.appliances import ApplianceInstance
 from repro.powergrid.load import (
@@ -14,6 +16,7 @@ from repro.powergrid.load import (
 from repro.powergrid.topology import GridTopology, Outlet
 from repro.sim.clock import MainsClock
 from repro.sim.random import RandomStreams
+from repro.testbed.experiments import night_start
 
 
 def _grid_with_two_rooms():
@@ -120,3 +123,23 @@ def test_state_signature_matches_appliance_order(load):
     sig = load.state_signature(t)
     assert len(sig) == len(load.appliances)
     assert load.active_count(t) == sum(sig)
+
+
+def test_signature_memo_follows_the_overlay():
+    """The last instant's signature is memoized with the overlay it was
+    read under: a surge installed after a read, and its removal, both
+    show at the same instant."""
+    load = compile_testbed("mini3", seed=7).template.load
+    t = night_start() + 7.0
+
+    def schedule_row():
+        return tuple(load.state_matrix([t])[0].tolist())
+
+    original = load.state_signature(t)
+    assert not all(original) and original == schedule_row()
+    inject_surges(load.activity, FaultPlan(seed=0, events=[
+        FaultEvent("appliance_surge", ANY_TARGET, t - 1.0, t + 1.0)]))
+    surged = load.state_signature(t)
+    assert all(surged) and surged == schedule_row()
+    load.activity.overlay = None
+    assert load.state_signature(t) == original == schedule_row()

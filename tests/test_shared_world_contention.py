@@ -2,17 +2,21 @@
 
 Forks of one compiled world share its ``ElectricalLoad`` (with the
 activity model's compiled schedules and draw memo, the grid's
-shortest-path trees and the receiver rows) and its PLC channels (with
-their direction geometry and their signature and jitter memos). The
-thread backend runs tasks on such forks concurrently, so every memo
-reachable from a fork must return what a single thread computes,
-whatever the interleaving. The first test drives four forks over
-disjoint and overlapping time windows with a tiny switch interval and
-compares every ``state_matrix`` row and every channel state read
-through ``state_at`` (signature, jittered SNR, impulse rate) with a
-single-threaded reference from an independent build of the same world.
-The second starts the forks from freshly compiled worlds, whose
-geometry memos are still empty, so they race to resolve them first.
+shortest-path trees, the receiver rows and the last instant's
+signature) and its PLC channels (with their direction geometry, their
+tap-state path losses, and their base-SNR, tracked tone-map layout and
+jitter memos). The thread backend runs tasks on such forks
+concurrently, so every memo reachable from a fork must return what a
+single thread computes, whatever the interleaving. The first test
+drives four forks over disjoint and overlapping time windows with a
+tiny switch interval and compares every ``state_matrix`` row, every
+channel state read through ``state_at`` (signature, jittered SNR,
+impulse rate), both directions' noise-free throughput at each instant
+and every path loss with a single-threaded reference from an
+independent build of the same world. The second starts the forks from
+freshly compiled worlds, whose geometry memos are still empty, so they
+race to resolve them first. Both shrink the path-loss memo to two tap
+states, so it also clears under contention.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ import time
 import numpy as np
 
 from repro.compile import compile_testbed
+from repro.plc import channel as plc_channel
 from repro.testbed.experiments import night_start, working_hours_start
 
 PRESET = "office"
@@ -36,6 +41,9 @@ CHUNK = 16
 #: Forks racing over each fresh world, and the pairs they resolve.
 RACERS = 4
 RACE_PAIRS = 12
+#: Tap states a path-loss memo keeps in these tests: small enough that
+#: the windows fill and clear it again and again.
+MEMO_LIMIT = 2
 
 
 def _windows():
@@ -59,18 +67,31 @@ def _state_bytes(state):
             state.impulsive_rate_hz)
 
 
-def test_forks_share_memos_safely_under_contention():
+def _scalar_reads(world, i, j, t):
+    """What the runner's scalar path reads at ``t``: the noise-free
+    throughput of both directions of the pair, one after the other (so
+    they share the load's signature memo), and the path loss."""
+    forward, backward = world.plc_link(i, j), world.plc_link(j, i)
+    return (forward.throughput_bps(t, measured=False),
+            backward.throughput_bps(t, measured=False),
+            forward.channel.path_loss_db(t).tobytes())
+
+
+def test_forks_share_memos_safely_under_contention(monkeypatch):
+    monkeypatch.setattr(plc_channel, "_PATH_LOSS_MEMO_LIMIT", MEMO_LIMIT)
     windows = _windows()
     reference = compile_testbed(PRESET, seed=SEED).template
     i, j = _pair(reference)
     ref_channel = reference.plc_link(i, j).channel
     ref_states = {}
     ref_rows = {}
+    ref_scalar = {}
     for ts in windows:
         for row, t in zip(reference.load.state_matrix(ts), ts.tolist()):
             ref_rows[t] = row.tobytes()
             state = ref_channel.state_at(t)
             ref_states[t] = _state_bytes(state)
+            ref_scalar[t] = _scalar_reads(reference, i, j, t)
             # The jitter memo is keyed by (interval, state); every read
             # must be the draw that key replays.
             index = int(t / state.jitter.hold_time_s)
@@ -105,6 +126,8 @@ def test_forks_share_memos_safely_under_contention():
                             wrong.append(("state_matrix", t))
                         if _state_bytes(ch.state_at(t)) != ref_states[t]:
                             wrong.append(("state_at", t))
+                        if _scalar_reads(fork, i, j, t) != ref_scalar[t]:
+                            wrong.append(("scalar", t))
                         reads[k] += 1
                     if time.monotonic() >= deadline:
                         return
@@ -130,18 +153,23 @@ def test_forks_share_memos_safely_under_contention():
 
 
 def _probe(world, i, j, t):
-    """Every geometry-derived read of one direction at one instant."""
+    """Every geometry-derived read of one direction at one instant, and
+    the scalar path's reads of the pair."""
     channel = world.plc_link(i, j).channel
     return (channel.path_loss_db(t).tobytes(), channel.snr_db(t).tobytes(),
             world.load.noise_psd_at(channel.dst_outlet, t).tobytes(),
             world.load.impulsive_event_rate_at(channel.dst_outlet, t),
-            world.cable_distance(i, j))
+            world.cable_distance(i, j), _scalar_reads(world, i, j, t))
 
 
-def test_forks_race_to_resolve_empty_geometry_memos():
+def test_forks_race_to_resolve_empty_geometry_memos(monkeypatch):
+    monkeypatch.setattr(plc_channel, "_PATH_LOSS_MEMO_LIMIT", MEMO_LIMIT)
     reference = compile_testbed(PRESET, seed=SEED).template
     pairs = reference.same_board_pairs()[::7][:RACE_PAIRS]
-    instants = [working_hours_start() + 13.0, night_start() + 7.0]
+    # Day, night and early morning: three tap states per direction, one
+    # more than the path-loss memo keeps.
+    instants = [working_hours_start() + 13.0, night_start() + 7.0,
+                working_hours_start(hour=7.0)]
     expected = {(i, j, t): _probe(reference, i, j, t)
                 for i, j in pairs for t in instants}
 

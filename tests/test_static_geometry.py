@@ -24,6 +24,7 @@ from repro.campaign import run_campaign, survey_specs
 from repro.compile import compile_testbed, compiled_testbed, reset_compile_cache
 from repro.faults import ANY_TARGET, FaultEvent, FaultPlan, inject_surges
 from repro.plc import channel as plc_channel
+from repro.plc.channel import PlcChannel
 from repro.powergrid.activity import OfficeActivityModel
 from repro.powergrid.load import (
     BACKGROUND_NOISE_DBM_HZ,
@@ -303,6 +304,40 @@ def test_rows_and_path_loss_equal_the_pairwise_loops(preset):
         assert world.cable_distance(i, j) == ref_distance(
             world.load.grid, world.sites[i].outlet_id,
             world.sites[j].outlet_id)
+
+
+def test_path_loss_memo_hits_clears_and_rehits(monkeypatch):
+    """The path-loss memo is keyed on the direction's tap states and
+    starts over when full. Revisit three tap states so that reads hit,
+    clear and re-hit a two-entry memo: every loss read through
+    ``path_loss_db`` is the reference's bytes, and read-only."""
+    monkeypatch.setattr(plc_channel, "_PATH_LOSS_MEMO_LIMIT", 2)
+    world = compile_testbed("office", seed=SEED).template
+    i, j = world.same_board_pairs()[5]
+    channel = world.plc_link(i, j).channel
+    taps = [k for k, _, _ in world.load.tap_geometry(channel.src_outlet,
+                                                      channel.dst_outlet)]
+    by_tap_state = {}
+    for t in (working_hours_start() + 3600.0 * np.arange(24)).tolist():
+        signature = world.load.state_signature(t)
+        by_tap_state.setdefault(tuple(signature[k] for k in taps), t)
+    a, b, c = list(by_tap_state.values())[:3]
+    computed = []
+    original = PlcChannel._compute_path_loss
+
+    def counting(self, signature):
+        computed.append(signature)
+        return original(self, signature)
+
+    monkeypatch.setattr(PlcChannel, "_compute_path_loss", counting)
+    # a, b: misses; a: hit; c: clears, miss; a: miss; b: clears, miss;
+    # b: hit.
+    for t in (a, b, a, c, a, b, b):
+        loss = channel.path_loss_db(t)
+        assert not loss.flags.writeable
+        assert loss.tobytes() == ref_path_loss(
+            channel, world.load.state_signature(t)).tobytes(), t
+    assert len(computed) == 5
 
 
 def test_one_tree_per_source_outlet_in_a_survey_round(tmp_path, monkeypatch):
