@@ -28,7 +28,6 @@ from repro.campaign.artifacts import (
     QuarantineWriter,
     TaskArtifact,
     is_artifact_file,
-    iter_task_records,
     quarantine_path_for,
     read_artifacts,
     read_quarantine,
@@ -70,7 +69,6 @@ __all__ = [
     "QuarantineWriter",
     "TaskArtifact",
     "is_artifact_file",
-    "iter_task_records",
     "quarantine_path_for",
     "read_artifacts",
     "read_quarantine",

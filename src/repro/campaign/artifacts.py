@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Set, Tuple, Union
+from typing import Any, Dict, List, Optional, Set, Tuple, Union
 
 from repro.wire import (
     FormatError,
@@ -86,15 +86,6 @@ def read_artifacts(path: Union[str, Path]
     header, lines = read_headed_jsonl(path, ARTIFACT_FORMAT,
                                       ARTIFACT_VERSION)
     return header, [TaskArtifact.from_dict(data) for data in lines]
-
-
-def iter_task_records(path: Union[str, Path]
-                      ) -> Iterator[Tuple[TaskArtifact, Dict[str, Any]]]:
-    """Yield (task, record) pairs across the whole artifact file."""
-    _, tasks = read_artifacts(path)
-    for task in tasks:
-        for record in task.records:
-            yield task, record
 
 
 class ArtifactWriter:

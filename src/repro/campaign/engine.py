@@ -48,11 +48,7 @@ from repro.campaign.artifacts import (
     TaskArtifact,
     quarantine_path_for,
 )
-from repro.campaign.backends import (
-    BACKEND_NAMES,
-    create_backend,
-    run_task_payload as _run_task_payload,  # noqa: F401 — back-compat name
-)
+from repro.campaign.backends import BACKEND_NAMES, create_backend
 from repro.campaign.spec import (
     ExperimentSpec,
     check_specs,

@@ -3,10 +3,12 @@
 :class:`HybridDevice` bonds one PLC and one WiFi link between the same two
 stations. Once per second it probes capacities the paper's way — PLC from
 the slot-averaged BLE, WiFi from the MCS observed over the last second —
-then splits traffic per the configured scheduler. Saturated runs use a
-100 ms fluid quantum (the goodput law of
-:func:`repro.hybrid.schedulers.fluid_goodput_bps`); a packet-level mode
-exercises the reorder buffer for jitter measurements.
+then splits traffic per the configured scheduler. Saturated runs
+(:meth:`HybridDevice.run_saturated`) use a 100 ms fluid quantum (the
+goodput law of :func:`repro.hybrid.schedulers.fluid_goodput_bps`) and
+run to the end in one call: a Fig. 20 run is 60 s of simulated time,
+and only the scenario runner's long runs are checkpointed. A
+packet-level mode exercises the reorder buffer for jitter measurements.
 """
 
 from __future__ import annotations
@@ -34,9 +36,6 @@ from repro.units import MBPS
 #: split: assigning traffic to a (near-)dead interface stalls a closed-loop
 #: source for nothing (§7.4 implicitly assumes both media carry traffic).
 MIN_MEDIUM_CAPACITY_BPS = 2e6
-
-#: ``Snapshot.kind`` for a paused saturated hybrid run.
-HYBRID_SNAPSHOT_KIND = "hybrid-device"
 
 
 @dataclass
@@ -79,11 +78,7 @@ class HybridDevice:
         self.links: Dict[str, Link] = {plc_link.medium: plc_link,
                                        wifi_link.medium: wifi_link}
         self.capacity_probe_interval_s = capacity_probe_interval_s
-        self._streams = streams
         self._rng = streams.get(f"hybrid.{plc_link.name}|{wifi_link.name}")
-        #: Loop state of a saturated run paused at an ``until_s``
-        #: boundary; ``None`` when no run is paused.
-        self._sat_paused: Optional[Dict[str, object]] = None
 
     # --- capacity estimation (the §7.4 probing design) -------------------------
 
@@ -146,53 +141,20 @@ class HybridDevice:
     # --- saturated runs (Fig. 20 left) ---------------------------------------------
 
     def run_saturated(self, mode: str, t_start: float, duration: float,
-                      quantum_s: float = 0.1,
-                      until_s: Optional[float] = None
-                      ) -> AggregationResult:
-        """Saturated UDP over the bonded pair.
+                      quantum_s: float = 0.1) -> AggregationResult:
+        """Saturated UDP over the bonded pair, in one call.
 
         ``mode``: "wifi" | "plc" | "hybrid" (capacity-proportional) |
         "round-robin".
-
-        ``until_s`` pauses the run *before* the first quantum at
-        ``t >= until_s`` and returns the partial result; the paused
-        state can be serialised with :meth:`snapshot`, pushed into a
-        freshly built twin device with :meth:`restore`, and continued
-        with :meth:`resume_saturated` — the completed result is then
-        bit-identical to an unpaused run (same quantum grid, same RNG
-        draws, same probe schedule).
         """
         if mode not in ("wifi", "plc", "hybrid", "round-robin"):
             raise ValueError(f"unknown mode {mode!r}")
-        return self._saturated_loop(
-            mode=mode, t_start=t_start, duration=duration,
-            quantum_s=quantum_s, index=0, values=[], capacities={},
-            last_probe=-np.inf, failovers=0, until_s=until_s)
-
-    def _saturated_loop(self, mode: str, t_start: float, duration: float,
-                        quantum_s: float, index: int,
-                        values: List[float],
-                        capacities: Dict[str, float], last_probe: float,
-                        failovers: int,
-                        until_s: Optional[float]) -> AggregationResult:
-        # The grid is always built over the *full* duration: slicing an
-        # ``np.arange`` started at an offset would produce subtly
-        # different float grid points than indexing into the one grid.
         times = np.arange(t_start, t_start + duration, quantum_s)
-        for i in range(index, len(times)):
-            t = times[i]
-            if until_s is not None and t >= until_s:
-                self._sat_paused = {
-                    "mode": mode, "t_start": t_start,
-                    "duration": duration, "quantum_s": quantum_s,
-                    "index": i, "values": values,
-                    "capacities": capacities, "last_probe": last_probe,
-                    "failovers": failovers,
-                }
-                series = MetricSeries(times[:i], values,
-                                      name=f"hybrid-{mode}")
-                return AggregationResult(mode=mode, throughput=series,
-                                         failovers=failovers)
+        values: List[float] = []
+        capacities: Dict[str, float] = {}
+        last_probe = -np.inf
+        failovers = 0
+        for t in times:
             actual = self._actual_capacities_bps(t)
             if mode == "wifi":
                 values.append(actual["wifi"])
@@ -217,89 +179,9 @@ class HybridDevice:
             else:  # round-robin: capacity-blind equal split
                 fractions = {m: 1.0 / len(actual) for m in actual}
                 values.append(fluid_goodput_bps(fractions, actual))
-        self._sat_paused = None
         series = MetricSeries(times, values, name=f"hybrid-{mode}")
         return AggregationResult(mode=mode, throughput=series,
                                  failovers=failovers)
-
-    # --- snapshot / restore ----------------------------------------------------
-
-    @property
-    def paused(self) -> bool:
-        return self._sat_paused is not None
-
-    def snapshot(self):
-        """Serialise a paused saturated run (see ``until_s`` above)."""
-        # Lazy import: repro.snapshot.world imports the reorder buffer
-        # from this package, so a module-level import here would cycle.
-        from repro.snapshot.codec import Snapshot
-        from repro.snapshot.world import snapshot_streams
-
-        if self._sat_paused is None:
-            raise RuntimeError(
-                "snapshot() requires a paused saturated run — call "
-                "run_saturated(..., until_s=...) first")
-        state = self._sat_paused
-        payload = {
-            "plc_link": self.plc_link.name,
-            "wifi_link": self.wifi_link.name,
-            "mode": state["mode"],
-            "t_start": float(state["t_start"]),
-            "duration": float(state["duration"]),
-            "quantum_s": float(state["quantum_s"]),
-            "index": int(state["index"]),
-            "values": [float(v) for v in state["values"]],
-            "capacities": {m: float(c)
-                           for m, c in state["capacities"].items()},
-            "last_probe": (None if state["last_probe"] == -np.inf
-                           else float(state["last_probe"])),
-            "failovers": int(state["failovers"]),
-            "streams": snapshot_streams(self._streams),
-        }
-        return Snapshot(kind=HYBRID_SNAPSHOT_KIND, payload=payload)
-
-    def restore(self, snap) -> None:
-        """Load a paused run into this (freshly built) device."""
-        from repro.snapshot.world import restore_streams
-
-        if snap.kind != HYBRID_SNAPSHOT_KIND:
-            raise ValueError(
-                f"cannot restore a {snap.kind!r} snapshot on a "
-                f"HybridDevice (need {HYBRID_SNAPSHOT_KIND!r})")
-        payload = snap.payload
-        if payload["plc_link"] != self.plc_link.name \
-                or payload["wifi_link"] != self.wifi_link.name:
-            raise ValueError(
-                "snapshot bonds "
-                f"{payload['plc_link']}|{payload['wifi_link']}, device "
-                f"bonds {self.plc_link.name}|{self.wifi_link.name}")
-        restore_streams(self._streams, payload["streams"])
-        self._sat_paused = {
-            "mode": payload["mode"],
-            "t_start": payload["t_start"],
-            "duration": payload["duration"],
-            "quantum_s": payload["quantum_s"],
-            "index": int(payload["index"]),
-            "values": list(payload["values"]),
-            "capacities": dict(payload["capacities"]),
-            "last_probe": (-np.inf if payload["last_probe"] is None
-                           else payload["last_probe"]),
-            "failovers": int(payload["failovers"]),
-        }
-
-    def resume_saturated(self, until_s: Optional[float] = None
-                         ) -> AggregationResult:
-        """Continue the restored (or locally paused) saturated run."""
-        if self._sat_paused is None:
-            raise RuntimeError("no paused saturated run to resume")
-        state, self._sat_paused = self._sat_paused, None
-        return self._saturated_loop(
-            mode=state["mode"], t_start=state["t_start"],
-            duration=state["duration"], quantum_s=state["quantum_s"],
-            index=state["index"], values=state["values"],
-            capacities=state["capacities"],
-            last_probe=state["last_probe"],
-            failovers=state["failovers"], until_s=until_s)
 
     # --- packet-level mode (reordering / jitter) --------------------------------------
 

@@ -42,8 +42,8 @@ class ToneMap:
     created_at:
         Simulated creation time (s).
     slots:
-        ``bits`` laid out for PB-error evaluation; laid out here when
-        not given.
+        ``bits`` laid out for PB-error evaluation: the layout
+        :func:`generate_tone_map` evaluated ``pb_err`` with.
     """
 
     tmi: int
@@ -52,8 +52,7 @@ class ToneMap:
     pb_err: float
     created_at: float
     symbol_duration_s: float
-    slots: Optional[phy.ToneMapSlots] = field(default=None, repr=False,
-                                              compare=False)
+    slots: phy.ToneMapSlots = field(repr=False, compare=False)
 
     def __post_init__(self) -> None:
         per_slot = phy.ble_bps(self.bits.sum(axis=0).astype(float),
@@ -61,8 +60,6 @@ class ToneMap:
                                self.symbol_duration_s)
         # Frozen dataclass: stash derived values via object.__setattr__.
         object.__setattr__(self, "_ble_per_slot", per_slot)
-        if self.slots is None:
-            object.__setattr__(self, "slots", phy.ToneMapSlots(self.bits))
 
     def ble_per_slot_bps(self) -> np.ndarray:
         """BLE of each tone-map slot (bits/s)."""

@@ -1,12 +1,10 @@
 """Versioned, content-addressed snapshots of the simulation world.
 
-The snapshot plane serialises every stateful component of a running
-simulation — named RNG streams, the windowed capacity cache, the
-metrics registry, PLC tone-map / channel-estimation processes, the
-hybrid reorder buffer — into one canonical JSON document that restores
-bit-identically. ``ScenarioRunner.snapshot()/resume()`` and
-``HybridDevice.snapshot()/restore()`` build on these codecs; the
-campaign engine chains them into time-sliced execution
+The snapshot plane serialises a paused scenario run — its named RNG
+streams, the windowed capacity cache and the metrics registry — into
+one canonical JSON document that restores bit-identically.
+``ScenarioRunner.snapshot()/resume()`` is its one client; the campaign
+engine chains it into time-sliced execution
 (``repro campaign --slice-horizon``).
 
 Byte-identity is the contract, not an aspiration: the
@@ -29,15 +27,9 @@ from repro.snapshot.codec import (
 from repro.snapshot.store import SnapshotStore, snapshot_dir_for
 from repro.snapshot.world import (
     restore_cache,
-    restore_channel_estimator,
-    restore_reorder_buffer,
     restore_streams,
-    restore_tone_map_process,
     snapshot_cache,
-    snapshot_channel_estimator,
-    snapshot_reorder_buffer,
     snapshot_streams,
-    snapshot_tone_map_process,
 )
 from repro.wire import FormatError, IntegrityError
 
@@ -53,15 +45,9 @@ __all__ = [
     "load_snapshot",
     "read_snapshot",
     "restore_cache",
-    "restore_channel_estimator",
-    "restore_reorder_buffer",
     "restore_streams",
-    "restore_tone_map_process",
     "snapshot_cache",
-    "snapshot_channel_estimator",
     "snapshot_dir_for",
-    "snapshot_reorder_buffer",
     "snapshot_streams",
-    "snapshot_tone_map_process",
     "write_snapshot",
 ]

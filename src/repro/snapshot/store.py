@@ -5,14 +5,15 @@ the same sidecar convention as ``.trace.jsonl`` and the quarantine
 sidecar), one file per ``(task, slice)`` pair. File names hash the task
 key — task keys contain ``/`` and are unbounded, so they cannot be path
 components directly — and append the slice index, which keeps a task's
-checkpoint chain ``ls``-adjacent.
+checkpoint chain ``ls``-adjacent. Which checkpoint a rerun continues
+from is the campaign engine's rule
+(``CampaignEngine._resume_slice_index``), not the store's.
 """
 
 from __future__ import annotations
 
 import hashlib
 from pathlib import Path
-from typing import Optional
 
 from repro.snapshot.codec import Snapshot, read_snapshot, write_snapshot
 
@@ -40,19 +41,3 @@ class SnapshotStore:
 
     def load(self, task_key: str, index: int) -> Snapshot:
         return read_snapshot(self.path_for(task_key, index))
-
-    def latest_index(self, task_key: str,
-                     max_index: int) -> Optional[int]:
-        """Highest slice index < ``max_index`` with a readable, valid
-        checkpoint on disk — the crash-resume entry point. Corrupt or
-        foreign files are skipped, not trusted."""
-        for index in range(max_index - 1, -1, -1):
-            path = self.path_for(task_key, index)
-            if not path.exists():
-                continue
-            try:
-                read_snapshot(path)
-            except (ValueError, OSError):
-                continue
-            return index
-        return None

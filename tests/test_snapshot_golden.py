@@ -20,7 +20,7 @@ import pytest
 
 from repro.compile import checkout_testbed
 from repro.netsim.runner import ScenarioRunner
-from repro.netsim.scenario import build_scenario
+from repro.netsim.scenario import Scenario, build_scenario
 from repro.obs.metrics import MetricsRegistry
 from repro.snapshot import (
     SNAPSHOT_VERSION,
@@ -133,18 +133,28 @@ def test_refuses_nan_payloads():
 
 
 def test_resume_refuses_wrong_kind_and_quantum():
+    """Every resume refusal: a checkpoint of another kind, or one whose
+    quantum, flow set, stream seed or cache geometry differs from the
+    runner it is handed to, is refused before a quantum runs."""
     runner, scenario, results = _paused_runner()
     snap = runner.snapshot(scenario, results)
-    fresh = ScenarioRunner(checkout_testbed(PRESET, seed=SEED),
-                           metrics=MetricsRegistry())
-    with pytest.raises(ValueError, match="cannot resume"):
-        fresh.resume(scenario, Snapshot(kind="hybrid-device",
-                                        payload=snap.payload))
-    mismatched = ScenarioRunner(checkout_testbed(PRESET, seed=SEED),
-                                quantum_s=0.25,
-                                metrics=MetricsRegistry())
+
+    def fresh(seed=SEED, **options):
+        return ScenarioRunner(checkout_testbed(PRESET, seed=seed),
+                              metrics=MetricsRegistry(), **options)
+
+    with pytest.raises(ValueError, match="cannot resume a 'foreign-kind'"):
+        fresh().resume(scenario, Snapshot(kind="foreign-kind",
+                                          payload=snap.payload))
     with pytest.raises(ValueError, match="quantum_s"):
-        mismatched.resume(scenario, snap)
+        fresh(quantum_s=0.25).resume(scenario, snap)
+    fewer_flows = Scenario(name=scenario.name, flows=scenario.flows[1:])
+    with pytest.raises(ValueError, match="flow set does not match"):
+        fresh().resume(fewer_flows, snap)
+    with pytest.raises(ValueError, match=f"taken at seed {SEED}"):
+        fresh(seed=SEED + 1).resume(scenario, snap)
+    with pytest.raises(ValueError, match="cache snapshot geometry"):
+        fresh(cache_window_s=2.0).resume(scenario, snap)
 
 
 # --- atomic writes and the checkpoint store -----------------------------------
@@ -170,16 +180,3 @@ def test_store_roundtrip_and_chain_adjacency(tmp_path):
     assert len(names) == 3
     # One hashed prefix per task: the chain sorts ls-adjacent.
     assert len({n.split("-")[0] for n in names}) == 1
-
-
-def test_store_latest_index_skips_corrupt_checkpoints(tmp_path):
-    store = SnapshotStore(tmp_path / "ckpt")
-    key = "scenario/mini3/s7/abcdef123456"
-    store.save(key, 0, Snapshot(kind="scenario-slice", payload={"k": 0}))
-    store.save(key, 2, Snapshot(kind="scenario-slice", payload={"k": 2}))
-    assert store.latest_index(key, max_index=8) == 2
-    # Corrupt the newest: crash-resume falls back to the older one.
-    store.path_for(key, 2).write_text("{torn", encoding="utf-8")
-    assert store.latest_index(key, max_index=8) == 0
-    store.path_for(key, 0).write_text("{torn", encoding="utf-8")
-    assert store.latest_index(key, max_index=8) is None

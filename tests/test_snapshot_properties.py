@@ -7,7 +7,9 @@ results bit-identical to the uninterrupted run. Hypothesis sweeps the
 inputs a blessed example would pin: scenario composition, world seed,
 the slice point (including mid-mains-cycle fractions — the PLC capacity
 model is periodic in the 20 ms mains cycle, so a misrestored phase
-shows up immediately), and mid-hole reorder-buffer boundaries.
+shows up immediately), and a full capacity cache cut mid-window. The
+scenario runner is the snapshot plane's one client, so it is the one
+subject here.
 """
 
 from __future__ import annotations
@@ -18,20 +20,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.compile import checkout_testbed
-from repro.hybrid.aggregator import HybridDevice
-from repro.hybrid.reorder import ReorderBuffer
 from repro.medium.registry import constituent_media
 from repro.netsim.runner import ScenarioRunner
 from repro.netsim.scenario import FlowRequest, Scenario
 from repro.obs.metrics import MetricsRegistry
-from repro.snapshot import (
-    Snapshot,
-    dump_snapshot,
-    load_snapshot,
-    restore_reorder_buffer,
-    snapshot_reorder_buffer,
-)
-from repro.traffic.packet import Packet
+from repro.snapshot import dump_snapshot, load_snapshot
 
 pytestmark = pytest.mark.slow
 
@@ -225,112 +218,3 @@ def test_full_cache_across_slice_points_matches_straight(
     assert _run_results(current, results) == \
         _run_results(straight, ref_results)
     _assert_same_stats(current, straight)
-
-
-# --- hybrid device ------------------------------------------------------------
-
-
-@settings(max_examples=10)
-@given(seed=seeds, mode=st.sampled_from(["hybrid", "round-robin",
-                                         "plc", "wifi"]),
-       slice_frac=st.floats(0.05, 0.95, allow_nan=False),
-       phase=mains_phases)
-def test_hybrid_device_segmented_matches_straight(seed, mode,
-                                                  slice_frac, phase):
-    """A saturated hybrid run paused at any quantum boundary, frozen,
-    restored into a fresh device and finished matches the straight run
-    sample for sample (same quantum grid, same RNG draws, same probe
-    schedule)."""
-    import numpy as np
-
-    duration = 6.0
-    until = T_BASE + slice_frac * duration + phase
-
-    def device(tb):
-        return HybridDevice(tb.plc_link(0, 1), tb.wifi_link(0, 1),
-                            tb.streams, metrics=MetricsRegistry())
-
-    straight = device(checkout_testbed(PRESET, seed=seed))
-    reference = straight.run_saturated(mode, T_BASE, duration)
-
-    first = device(checkout_testbed(PRESET, seed=seed))
-    partial = first.run_saturated(mode, T_BASE, duration, until_s=until)
-    if not first.paused:
-        assert np.array_equal(partial.throughput.values,
-                              reference.throughput.values)
-        return
-    blob = dump_snapshot(first.snapshot())
-    second = device(checkout_testbed(PRESET, seed=seed))
-    second.restore(load_snapshot(blob))
-    resumed = second.resume_saturated()
-
-    assert np.array_equal(resumed.throughput.times,
-                          reference.throughput.times)
-    assert np.array_equal(resumed.throughput.values,
-                          reference.throughput.values)
-    assert resumed.failovers == reference.failovers
-
-
-# --- reorder buffer -----------------------------------------------------------
-
-
-arrival_plans = st.integers(3, 24).flatmap(
-    lambda n: st.tuples(
-        st.permutations(range(n)),
-        st.lists(st.floats(0.001, 0.04, allow_nan=False),
-                 min_size=n, max_size=n),
-        st.integers(1, n - 1)))
-
-
-@given(plan=arrival_plans, timeout=st.floats(0.01, 0.1,
-                                             allow_nan=False))
-def test_reorder_buffer_restore_mid_stream(plan, timeout):
-    """Snapshotting a reorder buffer mid-stream — including while a
-    hole is open and its timeout clock is running — and restoring into
-    a fresh buffer replays the remaining arrivals identically."""
-    order, gaps, cut = plan
-    times = []
-    now = 0.0
-    for gap in gaps:
-        now += gap
-        times.append(now)
-
-    def fresh():
-        return ReorderBuffer(hole_timeout_s=timeout, max_window=8,
-                             metrics=MetricsRegistry())
-
-    def feed(buffer, arrivals):
-        released = []
-        for seq, at in arrivals:
-            released.extend((p.seq, p.delivered_at)
-                            for p in buffer.push(Packet(seq=seq), at))
-        released.extend((p.seq, p.delivered_at)
-                        for p in buffer.flush(times[-1] + 1.0))
-        return released
-
-    arrivals = list(zip(order, times))
-    reference = fresh()
-    ref_released = feed(reference, arrivals)
-
-    live = fresh()
-    for seq, at in arrivals[:cut]:
-        for p in live.push(Packet(seq=seq), at):
-            pass
-    blob = dump_snapshot(Snapshot(
-        kind="reorder-buffer", payload=snapshot_reorder_buffer(live)))
-    twin = fresh()
-    restore_reorder_buffer(twin, load_snapshot(blob).payload)
-    assert twin.pending_count == live.pending_count
-
-    # Replay the prefix on a throwaway to collect its releases, then
-    # compare prefix + suffix against the uninterrupted reference.
-    prefix = fresh()
-    early = []
-    for seq, at in arrivals[:cut]:
-        early.extend((p.seq, p.delivered_at)
-                     for p in prefix.push(Packet(seq=seq), at))
-    late = feed(twin, arrivals[cut:])
-    assert early + late == ref_released
-    assert twin.stats.delivered == reference.stats.delivered
-    assert twin.stats.holes_flushed == reference.stats.holes_flushed
-    assert twin.stats.release_times == reference.stats.release_times
