@@ -3,7 +3,7 @@ Power-Line Communications with WiFi" (Vlachou, Henri, Thiran — IMC 2015).
 
 The package layers, bottom-up:
 
-* :mod:`repro.sim` — deterministic discrete-event kernel, mains clock, RNG;
+* :mod:`repro.sim` — mains clock, named deterministic RNG streams;
 * :mod:`repro.powergrid` — wiring topology, appliances, human activity;
 * :mod:`repro.plc` — IEEE 1901 / HomePlug AV channel, PHY, MAC, stations;
 * :mod:`repro.wifi` — 802.11n link model;

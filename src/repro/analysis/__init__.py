@@ -7,11 +7,6 @@ from repro.analysis.stats import (
     summarize,
 )
 from repro.analysis.asymmetry import AsymmetryReport, asymmetry_report
-from repro.analysis.timeseries import (
-    autocorrelation_time_s,
-    cusum_changepoints,
-    detect_periodicity_s,
-)
 from repro.analysis.traces import Campaign, load_campaign, save_campaign
 
 __all__ = [
@@ -21,9 +16,6 @@ __all__ = [
     "summarize",
     "AsymmetryReport",
     "asymmetry_report",
-    "autocorrelation_time_s",
-    "detect_periodicity_s",
-    "cusum_changepoints",
     "Campaign",
     "save_campaign",
     "load_campaign",

@@ -26,8 +26,6 @@ from typing import (
     Tuple,
 )
 
-import numpy as np
-
 from repro.campaign.spec import ExperimentSpec
 from repro.compile import checkout_testbed
 from repro.sim.clock import MainsClock
@@ -384,63 +382,6 @@ def _scenario_slice(spec: ExperimentSpec, attempt: int) -> TaskOutput:
                              for event in segment.payload["trace"]]
     records = [results[name].to_dict() for name in sorted(results)]
     return TaskOutput(records=records, stats=runner.stats.to_dict())
-
-
-# --- BLE polling --------------------------------------------------------------
-
-
-@register_task("ble_series", uses_testbed=True,
-               params=("day", "hour", "duration_s", "interval_s"),
-               required=("src", "dst"))
-def _ble_series(spec: ExperimentSpec, attempt: int) -> TaskOutput:
-    """§6.2 MM polling of one link's average BLE."""
-    from repro.testbed.experiments import poll_ble_series
-
-    p = spec.params_dict
-    testbed = checkout_testbed(spec.preset, seed=spec.seed)
-    series = poll_ble_series(testbed, int(p["src"]), int(p["dst"]),
-                             _start_time(p),
-                             duration=float(p.get("duration_s", 2.0)),
-                             interval=float(p.get("interval_s", 0.05)))
-    return TaskOutput(records=[{
-        "src": int(p["src"]), "dst": int(p["dst"]),
-        "times": [float(t) for t in series.times],
-        "ble_bps": [float(v) for v in series.values]}])
-
-
-# --- medium-agnostic link sampling --------------------------------------------
-
-
-@register_task("link_series", uses_testbed=True,
-               params=("medium", "day", "hour", "duration_s", "interval_s",
-                       "measured"),
-               required=("src", "dst"))
-def _link_series(spec: ExperimentSpec, attempt: int) -> TaskOutput:
-    """Sample any registered medium's link through the ``repro.medium``
-    contract — the campaign engine's view of ``Link.sample_series``.
-
-    ``params``: ``src``, ``dst``, optional ``medium`` ("plc"/"wifi",
-    default "plc"), ``duration_s``, ``interval_s``, ``measured``.
-    """
-    p = spec.params_dict
-    testbed = checkout_testbed(spec.preset, seed=spec.seed)
-    medium = str(p.get("medium", "plc"))
-    src, dst = int(p["src"]), int(p["dst"])
-    link = testbed.link(medium, src, dst)
-    if link is None:
-        raise ValueError(
-            f"no {medium} link between stations {src} and {dst}")
-    t0 = _start_time(p)
-    times = np.arange(t0, t0 + float(p.get("duration_s", 2.0)),
-                      float(p.get("interval_s", 0.1)))
-    series = link.sample_series(times,
-                                measured=bool(p.get("measured", True)))
-    return TaskOutput(records=[{
-        "src": src, "dst": dst, "medium": series.medium,
-        "times": [float(t) for t in series.times],
-        "capacity_bps": [float(v) for v in series.capacity_bps],
-        "throughput_bps": [float(v) for v in series.throughput_bps],
-        "loss": [float(v) for v in series.loss]}])
 
 
 # --- diagnostics --------------------------------------------------------------

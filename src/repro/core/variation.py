@@ -16,14 +16,13 @@ long-run samples) into the statistics the paper's Figs. 9–14 report.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Sequence
 
 import numpy as np
 
 from repro.core.metrics import MetricSeries
 from repro.plc.frames import SofDelimiter
 from repro.sim.clock import MainsClock
-from repro.units import HOUR
 
 
 # --- invariance scale (Fig. 9) ------------------------------------------------
@@ -105,20 +104,6 @@ def cycle_scale_stats(series: MetricSeries,
                            n_updates=len(changes))
 
 
-def quality_variability_correlation(stats: Sequence[CycleScaleStats]
-                                    ) -> float:
-    """Pearson correlation between mean BLE and std of BLE across links.
-
-    The paper's headline: strongly *negative* — good links barely move
-    (§6.2, Fig. 11 right).
-    """
-    if len(stats) < 3:
-        raise ValueError("need at least three links")
-    means = np.array([s.mean_ble_bps for s in stats])
-    stds = np.array([s.std_ble_bps for s in stats])
-    return float(np.corrcoef(means, stds)[0, 1])
-
-
 # --- random scale (Figs. 12–14) -----------------------------------------------------
 
 
@@ -176,79 +161,3 @@ def detect_daily_event(series: MetricSeries, event_hour: float,
     if not before or not after:
         raise ValueError("series does not cover the event window")
     return float(np.mean(after) - np.mean(before))
-
-
-@dataclass(frozen=True)
-class TimescaleDecomposition:
-    """Variance shares of the three timescales in a BLE measurement set
-    (the quantitative form of the paper's Fig. 8 sketch).
-
-    ``invariance`` — variance across tone-map slots (mains-synchronous);
-    ``cycle`` — fast residual variance around the local mean;
-    ``random`` — variance of the slow (minutes+) trend itself.
-    Shares sum to ~1 for any non-constant input.
-    """
-
-    invariance_share: float
-    cycle_share: float
-    random_share: float
-    total_variance: float
-
-
-def decompose_timescales(slot_samples: np.ndarray, times: np.ndarray,
-                         trend_window_s: float = 60.0
-                         ) -> TimescaleDecomposition:
-    """Split BLE variance into the paper's three timescales.
-
-    ``slot_samples`` has shape (n_samples, num_slots): per-slot BLE at each
-    sample time. Decomposition: slot-mean deviations → invariance; a
-    ``trend_window_s`` rolling mean of the slot average → random scale; the
-    residual around that trend → cycle scale.
-    """
-    samples = np.asarray(slot_samples, dtype=float)
-    t = np.asarray(times, dtype=float)
-    if samples.ndim != 2 or samples.shape[0] != len(t):
-        raise ValueError("slot_samples must be (n_samples, num_slots) "
-                         "aligned with times")
-    if samples.shape[0] < 4:
-        raise ValueError("need at least four samples")
-    avg = samples.mean(axis=1)
-    # Invariance: average over time of the across-slot variance.
-    invariance = float(np.mean(samples.var(axis=1)))
-    # Random: variance of the slow trend of the slot average.
-    dt = float(np.median(np.diff(t))) if len(t) > 1 else 1.0
-    window = max(1, int(trend_window_s / max(dt, 1e-9)))
-    kernel = np.ones(window)
-    # Edge-corrected rolling mean: divide by how many samples actually
-    # fell in the window (plain 'same' convolution dips at the edges).
-    trend = (np.convolve(avg, kernel, mode="same")
-             / np.convolve(np.ones_like(avg), kernel, mode="same"))
-    random_var = float(trend.var())
-    # Cycle: residual of the slot average around the trend.
-    cycle_var = float((avg - trend).var())
-    total = invariance + cycle_var + random_var
-    if total <= 0:
-        return TimescaleDecomposition(0.0, 0.0, 0.0, 0.0)
-    return TimescaleDecomposition(
-        invariance_share=invariance / total,
-        cycle_share=cycle_var / total,
-        random_share=random_var / total,
-        total_variance=total)
-
-
-def probing_interval_suggestion(stats: CycleScaleStats,
-                                error_budget: float = 0.02) -> float:
-    """How often a link with these cycle-scale stats needs probing (s).
-
-    Heuristic from §6.2/§7.3: probing need scales with the link's relative
-    variability per unit time. A link whose BLE moves by less than the error
-    budget over an hour can be probed hourly.
-    """
-    if stats.mean_ble_bps <= 0:
-        return 1.0
-    cv = stats.coefficient_of_variation
-    if cv <= 0:
-        return HOUR
-    # Rate of relative change per second ≈ cv / α.
-    change_rate = cv / max(stats.mean_alpha_s, 1e-3)
-    return float(np.clip(error_budget / max(change_rate, 1e-9), 1.0, HOUR))

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Sequence
 
 import numpy as np
 
@@ -212,45 +211,3 @@ def transmission_count_std(n_pbs: int, pb_err: float,
             break
     var = max(second - mean ** 2, 0.0)
     return math.sqrt(var)
-
-
-# --- frame aggregation --------------------------------------------------------
-
-
-class FrameAggregator:
-    """Two-level aggregation: packets → PB queue → frames (Fig. 1).
-
-    Packets are segmented into PBs on arrival; a frame is emitted when enough
-    PBs are queued to fill the maximum frame duration at the current BLE, or
-    when the aggregation timer fires after the first queued PB.
-    """
-
-    def __init__(self, spec: PlcSpec, aggregation_timer_s: float = 0.2):
-        self.spec = spec
-        self.aggregation_timer_s = aggregation_timer_s
-        self._pb_queue: List[float] = []  # arrival time per queued PB
-
-    def __len__(self) -> int:
-        return len(self._pb_queue)
-
-    def enqueue_packet(self, payload_bytes: int, now: float) -> int:
-        """Segment a packet into PBs; returns the number queued."""
-        n = pbs_for_payload(payload_bytes, self.spec)
-        self._pb_queue.extend([now] * n)
-        return n
-
-    def frame_ready(self, now: float, ble_bps: float) -> bool:
-        """Whether a frame should be emitted now."""
-        if not self._pb_queue:
-            return False
-        if len(self._pb_queue) >= self.spec.max_pbs_per_frame(ble_bps):
-            return True
-        return now - self._pb_queue[0] >= self.aggregation_timer_s
-
-    def pop_frame(self, ble_bps: float) -> int:
-        """Dequeue PBs for one frame; returns the PB count (≥ 1)."""
-        if not self._pb_queue:
-            raise RuntimeError("no PBs queued")
-        n = min(len(self._pb_queue), self.spec.max_pbs_per_frame(ble_bps))
-        del self._pb_queue[:n]
-        return n

@@ -134,9 +134,6 @@ class GridTopology:
     def outlets(self) -> List[Outlet]:
         return list(self._outlets.values())
 
-    def boards(self) -> List[Outlet]:
-        return [o for o in self._outlets.values() if o.is_board]
-
     def __contains__(self, outlet_id: str) -> bool:
         return outlet_id in self._outlets
 
@@ -222,51 +219,3 @@ class GridTopology:
         for u, v in zip(path, path[1:]):
             out.append(out[-1] + self._graph[u][v]["length"])
         return out
-
-    # --- builders ---------------------------------------------------------------
-
-    @staticmethod
-    def office_floor(board_specs: Dict[str, Tuple[float, float]],
-                     rooms_per_board: int = 8,
-                     outlets_per_room: int = 2,
-                     riser_length: float = 12.0,
-                     room_spacing: float = 7.0,
-                     stub_length: float = 3.0,
-                     inter_board_length: float = 220.0,
-                     ) -> "GridTopology":
-        """Build a two-board office floor like the EPFL testbed (Fig. 2).
-
-        Each board feeds a bus running along a corridor; every ``room_spacing``
-        metres a room junction taps off it with ``outlets_per_room`` outlets on
-        short stubs. The boards are tied together through a long basement
-        cable (``inter_board_length`` metres), which makes cross-board PLC
-        communication effectively impossible — as in the paper.
-        """
-        grid = GridTopology()
-        board_ids = sorted(board_specs)
-        for board_id in board_ids:
-            x0, y0 = board_specs[board_id]
-            grid.add_outlet(Outlet(board_id, (x0, y0), board_id,
-                                   is_board=True))
-            prev = board_id
-            prev_pos = (x0, y0)
-            direction = 1.0 if x0 < 35 else -1.0
-            for room in range(rooms_per_board):
-                jx = prev_pos[0] + direction * room_spacing
-                jy = y0 + (room % 2) * 4.0
-                junction_id = f"{board_id}/junction-{room}"
-                grid.add_outlet(Outlet(junction_id, (jx, jy), board_id))
-                seg = riser_length if room == 0 else room_spacing
-                grid.add_cable(prev, junction_id, seg)
-                for k in range(outlets_per_room):
-                    ox = jx + 1.0 + 1.5 * k
-                    oy = jy + 2.0
-                    outlet_id = f"{board_id}/room-{room}/outlet-{k}"
-                    grid.add_outlet(Outlet(outlet_id, (ox, oy), board_id))
-                    grid.add_cable(junction_id, outlet_id,
-                                   stub_length + 1.0 * k)
-                prev = junction_id
-                prev_pos = (jx, jy)
-        if len(board_ids) >= 2:
-            grid.add_cable(board_ids[0], board_ids[1], inter_board_length)
-        return grid

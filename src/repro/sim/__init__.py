@@ -1,18 +1,16 @@
-"""Discrete-event simulation kernel.
+"""Simulation time and randomness.
 
-The kernel is deliberately small: an event queue with a simulated clock
-(:class:`~repro.sim.engine.Simulator`), a mains-cycle-aware clock helper
-(:mod:`repro.sim.clock`) and named deterministic random streams
-(:mod:`repro.sim.random`). Every other subsystem builds on these.
+Two small pieces every other subsystem builds on: a mains-cycle-aware
+clock helper (:mod:`repro.sim.clock`) and named deterministic random
+streams (:mod:`repro.sim.random`). The simulators themselves are
+round-based (:class:`~repro.plc.csma.CsmaSimulator`,
+:class:`~repro.netsim.runner.ScenarioRunner`), so there is no event queue.
 """
 
 from repro.sim.clock import MainsClock, tone_map_slot_at
-from repro.sim.engine import Event, Simulator
 from repro.sim.random import RandomStreams
 
 __all__ = [
-    "Event",
-    "Simulator",
     "MainsClock",
     "tone_map_slot_at",
     "RandomStreams",

@@ -4,7 +4,6 @@ from repro.traffic.generators import (
     CbrFlow,
     FileTransfer,
     SaturatedUdpFlow,
-    burst_schedule,
 )
 from repro.traffic.iperf import run_udp_test
 from repro.traffic.packet import Packet
@@ -14,6 +13,5 @@ __all__ = [
     "SaturatedUdpFlow",
     "CbrFlow",
     "FileTransfer",
-    "burst_schedule",
     "run_udp_test",
 ]

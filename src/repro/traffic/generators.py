@@ -56,25 +56,6 @@ class FileTransfer:
         return math.ceil(self.size_bytes / self.packet_bytes)
 
 
-def burst_schedule(rate_bps: float, burst_packets: int,
-                   packet_bytes: int, t_start: float,
-                   duration: float) -> List[List[float]]:
-    """Packet times grouped into bursts at the same average rate (§8.2).
-
-    Returns a list of bursts; each burst is a list of (near-simultaneous)
-    packet times. Total packets per second match a plain CBR of ``rate_bps``.
-    """
-    if burst_packets < 1:
-        raise ValueError("burst size must be >= 1")
-    burst_interval = burst_packets * packet_bytes * 8 / rate_bps
-    bursts: List[List[float]] = []
-    t = t_start
-    while t < t_start + duration:
-        bursts.append([t + 1e-5 * k for k in range(burst_packets)])
-        t += burst_interval
-    return bursts
-
-
 def packets_for_times(times: List[float], packet_bytes: int,
                       flow_id: str, seq_start: int = 0) -> Iterator[Packet]:
     """Materialise packets for a list of send times."""

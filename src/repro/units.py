@@ -32,8 +32,6 @@ MAINS_CYCLE = 1.0 / MAINS_HZ
 #: The HPAV tone-map schedule spans half a mains cycle (10 ms at 50 Hz),
 #: because noise is (approximately) symmetric across the two half-cycles.
 HALF_MAINS_CYCLE = MAINS_CYCLE / 2.0
-#: IEEE 1901 beacon period: two mains cycles (40 ms at 50 Hz, 33.3 ms at 60 Hz).
-BEACON_PERIOD = 2 * MAINS_CYCLE
 
 
 def mbps(bits_per_second: float) -> float:

@@ -9,12 +9,10 @@ from repro.core.variation import (
     detect_daily_event,
     hour_of_day_profile,
     invariance_scale_stats,
-    probing_interval_suggestion,
-    quality_variability_correlation,
 )
 from repro.plc.sniffer import capture_saturated
 from repro.sim.clock import MainsClock
-from repro.units import HOUR, MBPS
+from repro.units import HOUR
 
 
 def test_invariance_stats_from_capture(testbed, t_night):
@@ -54,7 +52,9 @@ def test_quality_variability_anticorrelation(testbed, t_night):
     for (i, j) in [(13, 14), (15, 18), (0, 1), (2, 7), (11, 4), (5, 11)]:
         series = poll_ble_series(testbed, i, j, t_night, 60, 0.05)
         stats.append(cycle_scale_stats(series))
-    corr = quality_variability_correlation(stats)
+    means = np.array([s.mean_ble_bps for s in stats])
+    stds = np.array([s.std_ble_bps for s in stats])
+    corr = float(np.corrcoef(means, stds)[0, 1])
     assert corr < -0.3
 
 
@@ -84,68 +84,3 @@ def test_detect_daily_event_requires_coverage():
     series = MetricSeries([0.0, 1.0], [1.0, 2.0])
     with pytest.raises(ValueError):
         detect_daily_event(series, event_hour=21.0)
-
-
-def test_probing_interval_suggestion_orders_by_quality():
-    stable = cycle_scale_stats(MetricSeries(
-        np.arange(0, 10, 0.05), np.full(200, 140 * MBPS)))
-    rng = np.random.default_rng(0)
-    jumpy_vals = 40 * MBPS + 8 * MBPS * rng.standard_normal(200)
-    jumpy = cycle_scale_stats(MetricSeries(np.arange(0, 10, 0.05),
-                                           jumpy_vals))
-    assert probing_interval_suggestion(stable) > \
-        probing_interval_suggestion(jumpy)
-
-
-def test_correlation_needs_three_links():
-    with pytest.raises(ValueError):
-        quality_variability_correlation([])
-
-
-def test_decompose_timescales_validation():
-    from repro.core.variation import decompose_timescales
-    with pytest.raises(ValueError):
-        decompose_timescales(np.zeros((3, 6)), np.arange(4))
-    with pytest.raises(ValueError):
-        decompose_timescales(np.zeros((2, 6)), np.arange(2))
-
-
-def test_decompose_constant_signal_is_zero_variance():
-    from repro.core.variation import decompose_timescales
-    t = np.arange(0, 100, 0.5)
-    samples = np.full((len(t), 6), 100.0)
-    d = decompose_timescales(samples, t)
-    assert d.total_variance == 0.0
-
-
-def test_decompose_recovers_engineered_components():
-    from repro.core.variation import decompose_timescales
-    rng = np.random.default_rng(4)
-    t = np.arange(0, 600, 0.5)
-    slot_structure = np.array([-6, -2, 0, 2, 4, 2], dtype=float)
-    trend = 5.0 * np.sin(2 * np.pi * t / 600.0)          # random scale
-    fast = 1.0 * rng.standard_normal(len(t))             # cycle scale
-    samples = (100.0 + trend + fast)[:, None] + slot_structure[None, :]
-    d = decompose_timescales(samples, t)
-    # All three components present, invariance dominating (slot var ~11).
-    assert d.invariance_share > d.cycle_share > 0.01
-    assert d.random_share > 0.1
-    assert d.invariance_share + d.cycle_share + d.random_share == \
-        pytest.approx(1.0)
-
-
-def test_decompose_on_simulated_links(testbed, t_night):
-    """Bad links are relatively far more variable than good ones, and all
-    three timescales contribute on both."""
-    from repro.core.variation import decompose_timescales
-    t = np.arange(t_night, t_night + 120, 0.5)
-    out = {}
-    for (i, j) in [(13, 14), (11, 4)]:
-        link = testbed.plc_link(i, j)
-        samples = np.array([link.ble_per_slot_bps(float(x)) for x in t])
-        mean = samples.mean()
-        d = decompose_timescales(samples, t)
-        out[(i, j)] = d.total_variance / mean ** 2  # relative variance
-        assert d.invariance_share + d.cycle_share + d.random_share == \
-            pytest.approx(1.0)
-    assert out[(11, 4)] > 3 * out[(13, 14)]

@@ -67,15 +67,38 @@ def test_throughput_degrades_with_cable_distance(quick_survey):
     assert pearson(d, t) < -0.5
 
 
-def test_severe_asymmetry_on_a_third_of_pairs(testbed, t_work):
-    """§5: ≥1.5× throughput asymmetry on ~30 % of pairs."""
-    fwd = {}
+@pytest.fixture(scope="module")
+def same_board_plc(testbed, t_work):
+    """Per same-board pair at working hours: mean PLC throughput (Mbps,
+    five 1 s-spaced scalar probes) and PBerr."""
+    out = {}
     for i, j in testbed.same_board_pairs():
         link = testbed.plc_link(i, j)
-        fwd[(i, j)] = np.mean([link.throughput_bps(t_work + k, False)
-                               for k in range(5)]) / MBPS
+        out[(i, j)] = (np.mean([link.throughput_bps(t_work + k, False)
+                                for k in range(5)]) / MBPS,
+                       link.pb_err(t_work))
+    return out
+
+
+def test_severe_asymmetry_on_a_third_of_pairs(same_board_plc):
+    """§5: ≥1.5× throughput asymmetry on ~30 % of pairs."""
+    fwd = {pair: thr for pair, (thr, _) in same_board_plc.items()}
     report = asymmetry_report(fwd, threshold=1.5)
     assert 0.15 < report.severe_fraction < 0.55
+
+
+def test_pberr_falls_as_throughput_rises(same_board_plc):
+    """§5, Fig. 7: PBerr anti-correlates with PLC throughput over the
+    formed links."""
+    thr, pb_err = np.array([v for v in same_board_plc.values()
+                            if v[0] > 1.0]).T
+    assert -1.0 <= pearson(thr, pb_err) <= -0.2
+
+
+def test_peak_plc_throughput_near_paper(same_board_plc):
+    """§4.1: the best HPAV pairs reach ~80 Mbps of UDP throughput."""
+    peak = max(thr for thr, _ in same_board_plc.values())
+    assert 55.0 <= peak <= 100.0
 
 
 def test_ble_is_a_linear_throughput_predictor(testbed, t_work):

@@ -1,7 +1,5 @@
 """MAC layer: efficiency chain, segmentation, SACK retransmissions."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -103,33 +101,6 @@ def test_transmission_std_grows_with_pb_err():
     stds = [mac.transmission_count_std(3, p) for p in (0.05, 0.2, 0.5)]
     assert stds == sorted(stds)
     assert mac.transmission_count_std(3, 0.0) == 0.0
-
-
-def test_aggregator_two_level_aggregation():
-    agg = mac.FrameAggregator(HPAV, aggregation_timer_s=0.2)
-    assert len(agg) == 0
-    agg.enqueue_packet(1500, now=0.0)
-    assert len(agg) == 3
-    # Not enough PBs for a full frame yet and timer not expired.
-    assert not agg.frame_ready(0.05, 100 * MBPS)
-    # Timer fires 200 ms after the first PB arrival (Fig. 1).
-    assert agg.frame_ready(0.25, 100 * MBPS)
-    assert agg.pop_frame(100 * MBPS) == 3
-
-
-def test_aggregator_full_frame_triggers_immediately():
-    agg = mac.FrameAggregator(HPAV)
-    max_pbs = HPAV.max_pbs_per_frame(100 * MBPS)
-    for k in range(math.ceil(max_pbs / 3) + 1):
-        agg.enqueue_packet(1500, now=0.0)
-    assert agg.frame_ready(0.0, 100 * MBPS)
-    assert agg.pop_frame(100 * MBPS) == max_pbs
-
-
-def test_aggregator_pop_empty_raises():
-    agg = mac.FrameAggregator(HPAV)
-    with pytest.raises(RuntimeError):
-        agg.pop_frame(100 * MBPS)
 
 
 def test_csma_tables_match_1901():

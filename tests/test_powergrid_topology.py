@@ -77,11 +77,3 @@ def test_distance_along_path_is_cumulative():
     path = g.signal_path("o0", "o1")
     dist = g.distance_along_path(path)
     assert dist == [0.0, 2.0, 7.0, 9.0]
-
-
-def test_office_floor_builder_produces_two_connected_boards():
-    g = GridTopology.office_floor({"B1": (10.0, 5.0), "B2": (60.0, 30.0)})
-    assert len(g.boards()) == 2
-    assert g.connected("B1", "B2")
-    # Cross-board distance dominated by the basement tie.
-    assert g.electrical_distance("B1", "B2") >= 200.0

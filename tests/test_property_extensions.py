@@ -1,96 +1,15 @@
 """Property-based tests for the extension modules."""
 
-import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.interference import AirtimeReport, available_bandwidth_bps
 from repro.core.two_metric_model import TwoMetricLinkModel, TwoMetricParameters
 from repro.hybrid.schedulers import CapacityProportionalScheduler
-from repro.plc import mm_wire
-from repro.plc.beacon import BeaconSchedule
-from repro.plc.tdma import TdmaScheduler
 from repro.sim.random import RandomStreams
+from repro.transport.tcp import padhye_throughput_bps
 
 pytestmark = pytest.mark.slow
-from repro.transport.tcp import padhye_throughput_bps
-from repro.units import BEACON_PERIOD
-
-
-# --- MM wire format: fuzz the decoder -------------------------------------------
-
-
-@given(st.binary(max_size=64))
-def test_mm_decoder_never_crashes_on_garbage(blob):
-    from repro.plc.mm_wire import MmDecodeError, decode_mm
-    try:
-        decode_mm(blob)
-    except MmDecodeError:
-        pass  # rejecting garbage is the job; crashing is not
-
-
-@given(st.floats(min_value=0, max_value=500),
-       st.floats(min_value=0, max_value=500))
-def test_nw_info_rates_always_roundtrip_within_one_mbps(tx, rx):
-    got_tx, got_rx = mm_wire.roundtrip_rates("x", tx, rx)
-    assert abs(got_tx - min(tx, 255)) <= 0.5
-    assert abs(got_rx - min(rx, 255)) <= 0.5
-
-
-@given(st.integers(min_value=0, max_value=2**31),
-       st.integers(min_value=0, max_value=2**31))
-def test_amp_stat_pb_err_is_probability(received, errored):
-    if errored > received:
-        received, errored = errored, received
-    frame = mm_wire.encode_amp_stat_cnf(received, errored)
-    _, _, pb_err = mm_wire.decode_amp_stat_cnf(frame)
-    assert 0.0 <= pb_err <= 1.0
-
-
-# --- TDMA / beacon: allocation algebra --------------------------------------------
-
-
-@given(st.dictionaries(st.sampled_from(["a", "b", "c", "d"]),
-                       st.floats(min_value=1e5, max_value=1e9),
-                       min_size=1, max_size=4))
-def test_tdma_allocations_tile_their_budget(demands):
-    scheduler = TdmaScheduler(schedulable_fraction=0.8)
-    allocations = scheduler.allocate(demands)
-    total = sum(a.duration_s for a in allocations)
-    assert total <= 0.8 * BEACON_PERIOD * (1 + 1e-9)
-    assert np.isclose(total, 0.8 * BEACON_PERIOD)
-    # Shares follow demands.
-    by_name = {a.flow_name: a.duration_s for a in allocations}
-    names = sorted(demands)
-    for a, b in zip(names, names[1:]):
-        if demands[a] > demands[b]:
-            assert by_name[a] >= by_name[b] - 1e-12
-
-
-@given(st.dictionaries(st.sampled_from(["a", "b", "c"]),
-                       st.floats(min_value=1e5, max_value=1e8),
-                       min_size=1, max_size=3))
-def test_beacon_schedule_from_any_allocation_tiles(demands):
-    allocations = TdmaScheduler(
-        schedulable_fraction=0.7).allocate(demands)
-    schedule = BeaconSchedule.with_allocations(allocations)
-    schedule.validate()  # no gaps, no overlaps, fills the period
-    assert 0.0 <= schedule.csma_fraction() <= 1.0
-    assert schedule.cfp_fraction() <= 0.7 + 1e-9
-
-
-# --- interference algebra -------------------------------------------------------------
-
-
-@given(st.floats(min_value=0, max_value=1.0),
-       st.floats(min_value=0, max_value=1.0),
-       st.floats(min_value=0, max_value=1e9))
-def test_available_bandwidth_bounded(own, foreign, capacity):
-    report = AirtimeReport(window_s=1.0, own_airtime_s=own,
-                           foreign_airtime_s=foreign)
-    bw = available_bandwidth_bps(capacity, report)
-    assert 0.0 <= bw <= capacity
 
 
 # --- two-metric model --------------------------------------------------------------------

@@ -14,25 +14,12 @@ from repro.hybrid.schedulers import (
 from repro.plc import mac, phy
 from repro.plc.spec import HPAV
 from repro.sim.clock import tone_map_slot_at
-from repro.sim.engine import Simulator
 from repro.traffic.packet import Packet
 
 pytestmark = pytest.mark.slow
 
 
-# --- simulation kernel -------------------------------------------------------
-
-
-@given(st.lists(st.floats(min_value=0.0, max_value=1e6,
-                          allow_nan=False), min_size=1, max_size=50))
-def test_engine_delivers_all_events_in_order(times):
-    sim = Simulator()
-    fired = []
-    for t in times:
-        sim.schedule(t, lambda t=t: fired.append(t))
-    sim.run()
-    assert fired == sorted(times)
-    assert len(fired) == len(times)
+# --- mains clock --------------------------------------------------------------
 
 
 @given(st.floats(min_value=0.0, max_value=1e7, allow_nan=False),

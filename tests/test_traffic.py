@@ -7,7 +7,6 @@ from repro.traffic.generators import (
     CbrFlow,
     FileTransfer,
     SaturatedUdpFlow,
-    burst_schedule,
     packets_for_times,
 )
 from repro.medium.link import BatchSamplingMixin, LinkSample
@@ -72,15 +71,6 @@ def test_file_transfer_packet_count():
     assert ft.n_packets == 400000
     with pytest.raises(ValueError):
         FileTransfer(size_bytes=0)
-
-
-def test_burst_schedule_preserves_rate():
-    bursts = burst_schedule(150e3, burst_packets=20, packet_bytes=1500,
-                            t_start=0.0, duration=60.0)
-    total_packets = sum(len(b) for b in bursts)
-    plain = CbrFlow(rate_bps=150e3).packet_times(0.0, 60.0)
-    assert total_packets == pytest.approx(len(plain), rel=0.1)
-    assert all(len(b) == 20 for b in bursts)
 
 
 def test_packets_for_times_sequence():

@@ -8,11 +8,6 @@ def test_mains_cycle_is_20ms_at_50hz():
     assert units.HALF_MAINS_CYCLE == 0.01
 
 
-def test_beacon_period_is_two_mains_cycles():
-    assert units.BEACON_PERIOD == 2 * units.MAINS_CYCLE
-    assert abs(units.BEACON_PERIOD - 0.040) < 1e-12
-
-
 def test_rate_conversions_roundtrip():
     assert units.mbps(units.bits_per_second(42.0)) == 42.0
     assert units.bits_per_second(1.0) == 1e6
