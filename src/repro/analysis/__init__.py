@@ -7,7 +7,6 @@ from repro.analysis.stats import (
     summarize,
 )
 from repro.analysis.asymmetry import AsymmetryReport, asymmetry_report
-from repro.analysis.traces import Campaign, load_campaign, save_campaign
 
 __all__ = [
     "LinearFit",
@@ -16,7 +15,4 @@ __all__ = [
     "summarize",
     "AsymmetryReport",
     "asymmetry_report",
-    "Campaign",
-    "save_campaign",
-    "load_campaign",
 ]

@@ -46,16 +46,6 @@ def format_table(headers: Sequence[str], rows: Iterable[Sequence],
     return "\n".join(lines)
 
 
-def format_series(name: str, xs: Sequence[float], ys: Sequence[float],
-                  x_label: str = "x", y_label: str = "y",
-                  max_points: int = 24) -> str:
-    """A compact (x, y) series dump for figure benchmarks."""
-    n = len(xs)
-    stride = max(1, n // max_points)
-    rows = [(xs[k], ys[k]) for k in range(0, n, stride)]
-    return format_table([x_label, y_label], rows, title=name)
-
-
 def summarize_artifacts(path: Union[str, Path],
                         top: int = 15) -> Tuple[str, Dict[str, int]]:
     """Summarise a campaign-artifact JSONL file for ``repro report``.

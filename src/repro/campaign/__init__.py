@@ -37,7 +37,6 @@ from repro.campaign.engine import (
     CampaignEngine,
     EngineConfig,
     run_campaign,
-    scenario_campaign,
     survey_campaign,
 )
 from repro.campaign.spec import (
@@ -76,7 +75,6 @@ __all__ = [
     "CampaignEngine",
     "EngineConfig",
     "run_campaign",
-    "scenario_campaign",
     "survey_campaign",
     "ExperimentSpec",
     "check_specs",

@@ -49,12 +49,7 @@ from repro.campaign.artifacts import (
     quarantine_path_for,
 )
 from repro.campaign.backends import BACKEND_NAMES, create_backend
-from repro.campaign.spec import (
-    ExperimentSpec,
-    check_specs,
-    scenario_specs,
-    survey_specs,
-)
+from repro.campaign.spec import ExperimentSpec, check_specs, survey_specs
 from repro.campaign.stats import CampaignStats, TaskFailure
 from repro.campaign.tasks import validate_task_params
 from repro.obs.clock import Clock, SystemClock
@@ -559,20 +554,5 @@ def survey_campaign(preset: str, seeds: Iterable[int],
     specs = survey_specs(preset, seeds, pairs, day=day, hour=hour,
                          duration_s=duration_s, interval_s=interval_s)
     return run_campaign(specs, out_path, name=f"survey-{preset}",
-                        workers=workers, progress=progress,
-                        **config_kwargs)
-
-
-def scenario_campaign(preset: str, seeds: Iterable[int],
-                      scenarios: Iterable[str],
-                      out_path: Union[str, Path], workers: int = 1,
-                      day: int = 2, hour: float = 14.0,
-                      horizon_s: float = 900.0,
-                      progress: Optional[ProgressFn] = None,
-                      **config_kwargs) -> CampaignStats:
-    """Fan named library scenarios out across worker processes."""
-    specs = scenario_specs(preset, list(seeds), list(scenarios), day=day,
-                           hour=hour, horizon_s=horizon_s)
-    return run_campaign(specs, out_path, name=f"scenario-{preset}",
                         workers=workers, progress=progress,
                         **config_kwargs)

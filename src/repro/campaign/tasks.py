@@ -15,22 +15,12 @@ from __future__ import annotations
 import difflib
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import (
-    Callable,
-    Dict,
-    FrozenSet,
-    Iterable,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional
 
 from repro.campaign.spec import ExperimentSpec
 from repro.compile import checkout_testbed
 from repro.sim.clock import MainsClock
 from repro.sim.random import RandomStreams
-from repro.testbed.builder import Testbed
 
 
 @dataclass
@@ -193,21 +183,6 @@ def _start_time(params: Dict[str, object]) -> float:
 
 
 # --- survey -------------------------------------------------------------------
-
-
-def run_survey_inline(testbed: Testbed, t_start: float, duration: float,
-                      report_interval: float,
-                      pairs: Sequence[Tuple[int, int]]):
-    """Serial survey over a prebuilt testbed (the engine's inline path).
-
-    :func:`repro.testbed.experiments.survey_pairs` delegates here so the
-    one-process survey and the parallel campaign share the measurement
-    code; importing lazily avoids a cycle with ``testbed.experiments``.
-    """
-    from repro.testbed.experiments import measure_pair
-
-    return [measure_pair(testbed, i, j, t_start, duration,
-                         report_interval) for i, j in pairs]
 
 
 @register_task("survey_pair", uses_testbed=True,

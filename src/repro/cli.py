@@ -7,13 +7,17 @@ Subcommands mirror the paper's workflows::
     python -m repro route SRC DST              # §4.3 hybrid mesh route
     python -m repro campaign --out FILE        # parallel experiment campaign
     python -m repro campaign ... --check       # + invariant sweep of artifact
-    python -m repro report FILE                # summarise a saved campaign
+    python -m repro report FILE                # summarise a campaign artifact
     python -m repro report FILE --timeline     # per-domain utilisation view
     python -m repro trace FILE                 # inspect a trace sidecar
     python -m repro verify --suite smoke       # verification suites / fuzzer
     python -m repro bench run --all            # benchmark plane: measure
     python -m repro bench compare BASELINE     # ... and regression-gate
     python -m repro bench report FILE          # inspect a BENCH document
+
+``survey`` is an inline ``survey_pair`` campaign: ``--save`` writes the
+same artifact bytes as ``repro campaign --kind survey --workers 0`` on
+the same pairs.
 
 Common options: ``--seed`` (testbed world), ``--day``/``--hour``
 (measurement time), ``--av500`` (validation devices).
@@ -24,19 +28,26 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import tempfile
 from typing import List, Optional, Tuple
-
-import numpy as np
 
 from repro.analysis.reporting import (
     format_table,
     summarize_artifacts,
     summarize_timeline,
 )
-from repro.analysis.traces import load_campaign, record_survey, save_campaign
 from repro.sim.clock import MainsClock
 from repro.testbed import HPAV500_PRESET, HPAV_PRESET, build_testbed
 from repro.units import MBPS
+
+
+class CliError(Exception):
+    """A refused command: :func:`main` prints ``error: <message>`` to
+    stderr and exits with ``code`` (2 for bad arguments, 1 otherwise)."""
+
+    def __init__(self, message: str, code: int = 1):
+        super().__init__(message)
+        self.code = code
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -54,13 +65,37 @@ def _build(args) -> tuple:
     preset = HPAV500_PRESET if args.av500 else HPAV_PRESET
     testbed = build_testbed(seed=args.seed, preset=preset)
     t = MainsClock.at(day=args.day, hour=args.hour)
+    _check_stations(testbed, args.src, args.dst)
     return testbed, t
 
 
-def _parse_pairs(text: Optional[str]) -> Optional[List[Tuple[int, int]]]:
-    """Parse ``"0-1,1-0,2-5"`` into directed pairs (None passes through)."""
+def _check_stations(testbed, src: int, dst: int) -> None:
+    """Refuse a station the testbed does not have, or ``src == dst``."""
+    stations = testbed.station_indices()
+    for station in (src, dst):
+        if station not in stations:
+            raise CliError(f"unknown station {station} (stations: "
+                           f"{stations[0]}-{stations[-1]})", code=2)
+    if src == dst:
+        raise CliError(f"source and destination are both station {src}",
+                       code=2)
+
+
+def _survey_pairs(text: Optional[str], preset: str, seed: int,
+                  max_pairs: int = 0) -> List[Tuple[int, int]]:
+    """The directed pairs a survey measures.
+
+    ``text`` is ``--pairs`` (``"0-1,1-0,2-5"``); ``None`` means every
+    same-board pair of the preset, the first ``max_pairs`` of them when
+    that is set. A pair that is not a same-board pair of the preset is
+    refused before any work runs. The pairs are read off the compiled
+    template, the same cached world the survey tasks check out.
+    """
+    from repro.compile import compiled_testbed
+
+    valid = compiled_testbed(preset, seed=seed).template.same_board_pairs()
     if text is None:
-        return None
+        return valid[:max_pairs] if max_pairs else valid
     pairs: List[Tuple[int, int]] = []
     for token in text.split(","):
         token = token.strip()
@@ -70,51 +105,46 @@ def _parse_pairs(text: Optional[str]) -> Optional[List[Tuple[int, int]]]:
             src, dst = token.split("-")
             pairs.append((int(src), int(dst)))
         except ValueError:
-            raise ValueError(
-                f"bad pair {token!r} (expected SRC-DST, e.g. 0-1)") \
-                from None
+            raise CliError(f"bad pair {token!r} (expected SRC-DST, "
+                           f"e.g. 0-1)", code=2) from None
+    allowed = set(valid)
+    for src, dst in pairs:
+        if (src, dst) not in allowed:
+            raise CliError(f"pair {src}-{dst} is not a same-board pair "
+                           f"of preset {preset!r}", code=2)
     return pairs
 
 
 def cmd_survey(args) -> int:
-    testbed, t = _build(args)
-    try:
-        pairs = _parse_pairs(args.pairs)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    survey_pairs = (pairs if pairs is not None
-                    else testbed.same_board_pairs())
-    if not survey_pairs:
-        print("error: empty survey (no pairs selected)", file=sys.stderr)
-        return 1
-    campaign = record_survey(testbed, t, pairs=survey_pairs)
-    rows = []
-    for i, j in survey_pairs:
-        plc = campaign.series(str(i), str(j), "plc",
-                              "throughput_bps")
-        wifi = campaign.series(str(i), str(j), "wifi",
-                               "throughput_bps")
-        if len(plc) and len(wifi):
-            rows.append([f"{i}->{j}", testbed.cable_distance(i, j),
-                         plc.values[0] / MBPS, wifi.values[0] / MBPS])
+    """§4.1 survey as an inline ``survey_pair`` campaign."""
+    from repro.campaign import read_artifacts, survey_campaign
+
+    preset = "office-av500" if args.av500 else "office"
+    pairs = _survey_pairs(args.pairs, preset, args.seed)
+    if not pairs:
+        raise CliError("empty survey (no pairs selected)")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = args.save or os.path.join(tmp, "survey.jsonl")
+        try:
+            survey_campaign(preset, [args.seed], path, pairs=pairs,
+                            workers=0, day=args.day, hour=args.hour,
+                            resume=False)
+        except OSError as exc:
+            raise CliError(f"cannot write {path}: {exc}") from None
+        _, tasks = read_artifacts(path)
+    rows = [[f"{rec['src']}->{rec['dst']}", rec["cable_distance_m"],
+             rec["plc_mean_mbps"], rec["wifi_mean_mbps"]]
+            for task in tasks for rec in task.records]
     rows.sort(key=lambda r: -r[2])
     print(format_table(
         ["link", "cable (m)", "PLC (Mbps)", "WiFi (Mbps)"],
         rows[: args.top],
         title=f"Dual-medium survey (seed {args.seed}, "
               f"day {args.day} {args.hour:g}h) — top {args.top}"))
-    plc_thr = np.array([r[2] for r in rows])
-    wifi_thr = np.array([r[3] for r in rows])
+    faster = sum(1 for _, _, plc, wifi in rows if plc > wifi)
     print(f"\n{len(rows)} links; PLC faster on "
-          f"{100 * np.mean(plc_thr > wifi_thr):.0f}%")
+          f"{100 * faster / len(rows):.0f}%")
     if args.save:
-        try:
-            save_campaign(campaign, args.save)
-        except OSError as exc:
-            print(f"error: cannot write {args.save}: {exc}",
-                  file=sys.stderr)
-            return 1
         print(f"campaign saved to {args.save}")
     return 0
 
@@ -183,36 +213,24 @@ def cmd_campaign(args) -> int:
         scenario_specs,
         survey_specs,
     )
-    from repro.compile import compiled_testbed
     from repro.testbed import resolve_testbed_preset
 
     try:
         resolve_testbed_preset(args.preset)
     except KeyError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return 2
+        raise CliError(exc.args[0], code=2) from None
     try:
         seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
-        pairs = _parse_pairs(args.pairs)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise CliError(str(exc), code=2) from None
     if not seeds:
-        print("error: empty campaign (no seeds)", file=sys.stderr)
-        return 1
+        raise CliError("empty campaign (no seeds)")
 
     if args.kind == "survey":
-        if pairs is None:
-            # Read-only pair enumeration on the compiled template — the
-            # same cached world the survey tasks will check out.
-            world = compiled_testbed(args.preset, seed=seeds[0]).template
-            pairs = world.same_board_pairs()
-            if args.max_pairs:
-                pairs = pairs[: args.max_pairs]
+        pairs = _survey_pairs(args.pairs, args.preset, seeds[0],
+                              args.max_pairs)
         if not pairs:
-            print("error: empty campaign (no pairs to survey)",
-                  file=sys.stderr)
-            return 1
+            raise CliError("empty campaign (no pairs to survey)")
         specs = survey_specs(args.preset, seeds, pairs, day=args.day,
                              hour=args.hour, duration_s=args.duration,
                              interval_s=args.interval)
@@ -220,14 +238,12 @@ def cmd_campaign(args) -> int:
         from repro.netsim.scenario import SCENARIO_LIBRARY
         scenarios = [s for s in args.scenarios.split(",") if s.strip()]
         if not scenarios:
-            print("error: empty campaign (no scenarios)", file=sys.stderr)
-            return 1
+            raise CliError("empty campaign (no scenarios)")
         unknown = [s for s in scenarios if s not in SCENARIO_LIBRARY]
         if unknown:
-            print(f"error: unknown scenario(s) {', '.join(unknown)} "
-                  f"(known: {', '.join(sorted(SCENARIO_LIBRARY))})",
-                  file=sys.stderr)
-            return 1
+            raise CliError(
+                f"unknown scenario(s) {', '.join(unknown)} "
+                f"(known: {', '.join(sorted(SCENARIO_LIBRARY))})")
         specs = scenario_specs(args.preset, seeds, scenarios,
                                day=args.day, hour=args.hour,
                                horizon_s=args.horizon)
@@ -247,11 +263,9 @@ def cmd_campaign(args) -> int:
             quarantine=args.quarantine, trace=args.trace,
             slice_horizon_s=args.slice_horizon)
     except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-        return 1
+        raise CliError(f"cannot write {args.out}: {exc}") from None
     except (CampaignAborted, KeyError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        raise CliError(str(exc)) from None
 
     summary = stats.to_dict()
     print(format_table(
@@ -319,9 +333,8 @@ def cmd_verify(args) -> int:
         try:
             spec, results = replay_repro(args.replay)
         except (OSError, ValueError, KeyError) as exc:
-            print(f"error: cannot replay {args.replay}: {exc}",
-                  file=sys.stderr)
-            return 1
+            raise CliError(f"cannot replay {args.replay}: {exc}") \
+                from None
         failures = [r for r in results if not r.passed]
         print(f"replayed {spec.task_key()}: {len(results)} check(s), "
               f"{len(failures)} failing")
@@ -345,9 +358,8 @@ def cmd_verify(args) -> int:
         try:
             write_report(args.report, report)
         except OSError as exc:
-            print(f"error: cannot write {args.report}: {exc}",
-                  file=sys.stderr)
-            return 1
+            raise CliError(f"cannot write {args.report}: {exc}") \
+                from None
         print(f"report written to {args.report}")
     bench_path = os.environ.get("BENCH_VERIFY_JSON")
     if bench_path:
@@ -364,13 +376,11 @@ def cmd_verify(args) -> int:
         try:
             bench.write_document(bench_path, doc)
         except OSError as exc:
-            print(f"error: cannot write {bench_path}: {exc}",
-                  file=sys.stderr)
-            return 1
+            raise CliError(f"cannot write {bench_path}: {exc}") \
+                from None
     if not report.ok:
-        print(f"error: {summary['failed']} verification check(s) "
-              f"failed", file=sys.stderr)
-        return 1
+        raise CliError(f"{summary['failed']} verification check(s) "
+                       f"failed")
     return 0
 
 
@@ -380,19 +390,15 @@ def cmd_bench_run(args) -> int:
 
     bench.load_default_benchmarks()
     if args.names and args.all:
-        print("error: give benchmark names or --all, not both",
-              file=sys.stderr)
-        return 2
+        raise CliError("give benchmark names or --all, not both", code=2)
     if not args.names and not args.all:
-        print("error: name at least one benchmark or pass --all "
-              "(see `repro bench list`)", file=sys.stderr)
-        return 2
+        raise CliError("name at least one benchmark or pass --all "
+                       "(see `repro bench list`)", code=2)
     try:
         names = (list(bench.benchmark_names()) if args.all
                  else [bench.get_benchmark(n).name for n in args.names])
     except KeyError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return 2
+        raise CliError(exc.args[0], code=2) from None
 
     def progress(name, result):
         if not args.quiet:
@@ -407,17 +413,14 @@ def cmd_bench_run(args) -> int:
         try:
             bench.write_document(args.out, doc)
         except OSError as exc:
-            print(f"error: cannot write {args.out}: {exc}",
-                  file=sys.stderr)
-            return 1
+            raise CliError(f"cannot write {args.out}: {exc}") from None
         print(f"BENCH document written to {args.out}")
     if args.trajectory:
         try:
             bench.append_trajectory(args.trajectory, doc)
         except OSError as exc:
-            print(f"error: cannot append to {args.trajectory}: {exc}",
-                  file=sys.stderr)
-            return 1
+            raise CliError(f"cannot append to {args.trajectory}: "
+                           f"{exc}") from None
         print(f"trajectory appended to {args.trajectory}")
     env = doc.environment
     print(f"{len(doc.results)} benchmark(s) over domains "
@@ -445,31 +448,26 @@ def cmd_bench_compare(args) -> int:
     try:
         baseline = bench.read_document(baseline_path)
     except OSError as exc:
-        print(f"error: cannot read baseline {baseline_path}: {exc}",
-              file=sys.stderr)
-        return 1
+        raise CliError(f"cannot read baseline {baseline_path}: "
+                       f"{exc}") from None
     except ValueError as exc:  # includes bench.FormatError
-        print(f"error: baseline {baseline_path}: {exc}", file=sys.stderr)
-        return 1
+        raise CliError(f"baseline {baseline_path}: {exc}") from None
 
     if args.candidate:
         try:
             candidate = bench.read_document(args.candidate)
         except OSError as exc:
-            print(f"error: cannot read candidate {args.candidate}: "
-                  f"{exc}", file=sys.stderr)
-            return 1
+            raise CliError(f"cannot read candidate {args.candidate}: "
+                           f"{exc}") from None
         except ValueError as exc:  # includes bench.FormatError
-            print(f"error: candidate {args.candidate}: {exc}",
-                  file=sys.stderr)
-            return 1
+            raise CliError(f"candidate {args.candidate}: {exc}") \
+                from None
     else:
         registered = set(bench.benchmark_names())
         names = [n for n in sorted(baseline.results) if n in registered]
         if not names:
-            print("error: no benchmark in the baseline is registered "
-                  "in this harness", file=sys.stderr)
-            return 1
+            raise CliError("no benchmark in the baseline is registered "
+                           "in this harness")
         candidate = bench.run_benchmarks(names)
 
     thresholds = {}
@@ -490,9 +488,7 @@ def cmd_bench_report(args) -> int:
     if args.trajectory:
         records = bench.read_trajectory(args.file)
         if not records:
-            print(f"error: no trajectory records in {args.file}",
-                  file=sys.stderr)
-            return 1
+            raise CliError(f"no trajectory records in {args.file}")
         print(f"trajectory {args.file}: {len(records)} run(s)")
         names = sorted({name for rec in records
                         for name in rec.get("min_s", {})})
@@ -511,11 +507,9 @@ def cmd_bench_report(args) -> int:
     try:
         doc = bench.read_document(bench.find_document(args.file))
     except OSError as exc:
-        print(f"error: cannot read {args.file}: {exc}", file=sys.stderr)
-        return 1
+        raise CliError(f"cannot read {args.file}: {exc}") from None
     except ValueError as exc:  # includes bench.FormatError
-        print(f"error: {args.file}: {exc}", file=sys.stderr)
-        return 1
+        raise CliError(f"{args.file}: {exc}") from None
     env = doc.environment
     print(f"BENCH document: {len(doc.results)} benchmark(s), domains "
           f"{', '.join(doc.domains())}")
@@ -557,51 +551,27 @@ def cmd_bench_list(args) -> int:
 
 
 def cmd_report(args) -> int:
-    from repro.campaign.artifacts import (
-        is_artifact_file,
-        quarantine_path_for,
-        read_quarantine,
-    )
+    """Summarise a campaign artifact file (or its timeline)."""
+    from repro.campaign.artifacts import quarantine_path_for, read_quarantine
 
     try:
         if args.timeline:
-            if not is_artifact_file(args.file):
-                print("error: --timeline needs a campaign artifact file",
-                      file=sys.stderr)
-                return 2
             print(summarize_timeline(args.file, top=args.top))
             return 0
-        if is_artifact_file(args.file):
-            text, _ = summarize_artifacts(args.file, top=args.top)
-        else:
-            text, campaign = None, load_campaign(args.file)
+        text, _ = summarize_artifacts(args.file, top=args.top)
     except OSError as exc:
-        print(f"error: cannot read {args.file}: {exc}", file=sys.stderr)
-        return 1
+        raise CliError(f"cannot read {args.file}: {exc}") from None
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    if text is not None:
-        print(text)
-        sidecar = quarantine_path_for(args.file)
-        entries = read_quarantine(sidecar)
-        if entries:
-            print(format_table(
-                ["task", "attempts", "error"],
-                [[e.task_key, e.attempts, e.error[:60]]
-                 for e in entries[: args.top]],
-                title=f"quarantined tasks ({sidecar})"))
-        return 0
-    print(f"campaign {campaign.name!r}: {len(campaign)} records, "
-          f"seed={campaign.seed}")
-    rows = []
-    for (src, dst, medium) in campaign.links()[: args.top]:
-        series = campaign.series(src, dst, medium)
-        rows.append([f"{src}->{dst}", medium, len(series),
-                     series.mean / MBPS, series.std / MBPS])
-    print(format_table(
-        ["link", "medium", "samples", "mean cap (Mbps)", "std"],
-        rows, title="per-link summary"))
+        raise CliError(str(exc)) from None
+    print(text)
+    sidecar = quarantine_path_for(args.file)
+    entries = read_quarantine(sidecar)
+    if entries:
+        print(format_table(
+            ["task", "attempts", "error"],
+            [[e.task_key, e.attempts, e.error[:60]]
+             for e in entries[: args.top]],
+            title=f"quarantined tasks ({sidecar})"))
     return 0
 
 
@@ -618,11 +588,9 @@ def cmd_trace(args) -> int:
             path = trace_path_for(path)
         header, events = read_trace(path)
     except OSError as exc:
-        print(f"error: cannot read {path}: {exc}", file=sys.stderr)
-        return 1
+        raise CliError(f"cannot read {path}: {exc}") from None
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        raise CliError(str(exc)) from None
 
     if args.name:
         events = [e for e in events if args.name in e["name"]]
@@ -668,7 +636,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_survey = sub.add_parser("survey", help="dual-medium link survey")
     _add_common(p_survey)
-    p_survey.add_argument("--save", help="write campaign JSONL here")
+    p_survey.add_argument("--save",
+                          help="write the campaign artifact here")
     p_survey.add_argument("--top", type=int, default=15,
                           help="rows to print (default 15)")
     p_survey.add_argument("--pairs",
@@ -761,7 +730,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_route.add_argument("dst", type=int)
     p_route.set_defaults(func=cmd_route)
 
-    p_report = sub.add_parser("report", help="summarise a saved campaign")
+    p_report = sub.add_parser("report",
+                              help="summarise a campaign artifact")
     p_report.add_argument("file")
     p_report.add_argument("--top", type=int, default=15)
     p_report.add_argument("--timeline", action="store_true",
@@ -873,6 +843,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except CliError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return exc.code
     except BrokenPipeError:
         # Downstream consumer (e.g. `repro report ... | head`) went away;
         # stdout is unusable, so detach it before interpreter shutdown

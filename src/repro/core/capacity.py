@@ -21,8 +21,6 @@ import numpy as np
 
 from repro.plc.channel_estimation import ChannelEstimator
 from repro.plc.frames import SofDelimiter
-from repro.plc.mac import SaturatedThroughputModel
-from repro.plc.spec import PlcSpec
 from repro.units import MBPS
 
 
@@ -73,32 +71,6 @@ def estimate_capacity_mbps(sofs: Sequence[SofDelimiter],
                            num_slots: int = 6) -> float:
     """Shorthand: the paper's slot-averaged BLE estimate, in Mbps."""
     return estimate_capacity_from_sofs(sofs, num_slots).capacity_mbps
-
-
-@dataclass(frozen=True)
-class ThroughputPrediction:
-    """Throughput predicted from a BLE capacity estimate (Fig. 15's fit)."""
-
-    capacity_bps: float
-    throughput_bps: float
-
-    @property
-    def throughput_mbps(self) -> float:
-        return self.throughput_bps / MBPS
-
-
-def predict_throughput(capacity_bps: float,
-                       spec: PlcSpec) -> ThroughputPrediction:
-    """Map a BLE estimate to expected UDP throughput via the MAC model.
-
-    This is the practical payoff of Fig. 15: BLE is a linear predictor of
-    application throughput (BLE ≈ 1.7 T), so a load balancer can weight
-    mediums straight from frame-header fields.
-    """
-    model = SaturatedThroughputModel(spec)
-    return ThroughputPrediction(
-        capacity_bps=capacity_bps,
-        throughput_bps=model.throughput_bps(capacity_bps))
 
 
 class ProbingCapacitySession:

@@ -131,12 +131,3 @@ def measure_u_etx(link: Link, t_start: float, duration: float,
     return UEtxResult(u_etx=u_etx, std=std, packets=packets,
                       mean_pb_err=float(np.mean(pb_errs)),
                       predicted_u_etx=predicted)
-
-
-def u_etx_predicted_from_pb_err(pb_err: float,
-                                payload_bytes: int = 1500,
-                                pb_payload_bytes: int = 512) -> float:
-    """Analytic U-ETX from PBerr — the paper's point that PBerr predicts
-    retransmissions (§8.1 conclusion)."""
-    n_pbs = max(1, -(-payload_bytes // pb_payload_bytes))
-    return mac.expected_transmissions(n_pbs, pb_err)

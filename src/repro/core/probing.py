@@ -115,18 +115,3 @@ def overhead_reduction(adaptive: AdaptiveProbingPolicy,
         raise ValueError("baseline overhead must be positive")
     ours = network_overhead_bps(adaptive, link_bles_bps)
     return 1.0 - ours / base
-
-
-def contention_safe_schedule(schedule: ProbeSchedule,
-                             burst_packets: int = 20) -> ProbeSchedule:
-    """§8.2's fix: same average overhead, but probes grouped into bursts.
-
-    A burst of ~20 packets aggregates into one maximum-length frame, which
-    lets the channel-estimation algorithm attribute collision losses
-    correctly and keeps BLE insensitive to background traffic.
-    """
-    return ProbeSchedule(
-        interval_s=schedule.interval_s * burst_packets
-        / schedule.burst_packets,
-        payload_bytes=schedule.payload_bytes,
-        burst_packets=burst_packets)

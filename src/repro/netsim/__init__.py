@@ -20,10 +20,8 @@ from repro.netsim.runner import (
     RunnerStats,
     ScenarioRunner,
     WorkConservationError,
-    results_to_campaign,
 )
 
 __all__ = ["FlowRequest", "FlowResult", "RunnerStats", "Scenario",
-           "ScenarioRunner", "WorkConservationError",
-           "results_to_campaign", "SCENARIO_LIBRARY", "build_scenario",
-           "register_scenario"]
+           "ScenarioRunner", "WorkConservationError", "SCENARIO_LIBRARY",
+           "build_scenario", "register_scenario"]

@@ -54,40 +54,6 @@ from repro.snapshot.world import (
 RUNNER_SNAPSHOT_KIND = "scenario-runner"
 
 
-def results_to_campaign(results: Dict[str, "FlowResult"],
-                        name: str = "scenario",
-                        stats: Optional["RunnerStats"] = None):
-    """Export scenario outcomes as a persistable measurement campaign.
-
-    When ``stats`` (the runner's :class:`RunnerStats`) is given, a summary
-    of the run — quanta executed, cache hit rate, invariant violations —
-    is recorded in the campaign description so archived campaigns carry
-    their execution provenance.
-    """
-    from repro.analysis.traces import Campaign
-    from repro.core.metrics import LinkMetricRecord
-
-    description = "netsim scenario results"
-    if stats is not None:
-        description += (
-            f" [quanta={stats.quanta}"
-            f" cache_hit_rate={stats.cache.hit_rate:.3f}"
-            f" invariant_violations={stats.invariant_violations}]")
-    campaign = Campaign(name=name, description=description)
-    for flow_name, result in sorted(results.items()):
-        request = result.request
-        campaign.add(LinkMetricRecord(
-            time=result.completed_at if result.finished
-            else request.start_s + result.active_time_s,
-            src=str(request.src), dst=str(request.dst),
-            # Records are per elemental medium; a composite flow is filed
-            # under its primary constituent (PLC for the hybrid bond).
-            medium=constituent_media(request.medium)[0],
-            capacity_bps=result.mean_rate_bps,
-            throughput_bps=result.mean_rate_bps))
-    return campaign
-
-
 class WorkConservationError(RuntimeError):
     """A quantum allocated more airtime in a domain than the domain has."""
 

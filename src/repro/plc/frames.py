@@ -1,6 +1,6 @@
-"""PLC frame structures: SoF delimiters, frames, SACKs.
+"""PLC frame structure: the start-of-frame (SoF) delimiter.
 
-The start-of-frame (SoF) delimiter is the paper's central measurement vector
+The SoF delimiter is the paper's central measurement vector
 (§2.2, Table 2): it is broadcast in ROBO modulation ahead of every frame, so a
 sniffer decodes it even when the payload is undecodable, and it carries the
 BLE of the tone map in use — which §7.1 shows is an accurate capacity
@@ -10,8 +10,7 @@ retransmissions (frames arriving < 10 ms apart).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -38,30 +37,3 @@ class SofDelimiter:
             raise ValueError("BLE cannot be negative")
         if self.n_pbs < 1:
             raise ValueError("a frame carries at least one PB")
-
-
-@dataclass(frozen=True)
-class Sack:
-    """Selective acknowledgment: per-PB receipt status (§2.2)."""
-
-    timestamp: float
-    src: str                  # the receiver sending the SACK
-    dst: str
-    pb_ok: Tuple[bool, ...]   # one flag per PB of the acknowledged frame
-
-    @property
-    def errored_pbs(self) -> int:
-        return sum(1 for ok in self.pb_ok if not ok)
-
-    @property
-    def all_ok(self) -> bool:
-        return self.errored_pbs == 0
-
-
-@dataclass(frozen=True)
-class PlcFrame:
-    """A MAC frame: delimiter + payload accounting (payload is abstract)."""
-
-    sof: SofDelimiter
-    payload_bytes: int
-    sack: Optional[Sack] = None

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, Sequence, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -188,8 +188,3 @@ class ApplianceInstance:
                            f"available: {sorted(APPLIANCE_CATALOG)}")
         return ApplianceInstance(instance_id, APPLIANCE_CATALOG[kind_name],
                                  outlet_id)
-
-
-def catalog_names() -> Sequence[str]:
-    """Sorted catalog keys (stable iteration order for reproducibility)."""
-    return sorted(APPLIANCE_CATALOG)

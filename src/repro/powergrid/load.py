@@ -44,12 +44,6 @@ def dbm_to_mw(dbm: float) -> float:
     return 10.0 ** (dbm / 10.0)
 
 
-def mw_to_dbm(mw: float) -> float:
-    if mw <= 0:
-        raise ValueError("power must be positive")
-    return 10.0 * np.log10(mw)
-
-
 @dataclass(frozen=True)
 class _NoiseCacheEntry:
     signature: Tuple[bool, ...]

@@ -80,17 +80,16 @@ def survey_pairs(testbed: Testbed, t_start: float,
     """§4.1's protocol: back-to-back saturated tests on both media.
 
     For every directed same-board pair, measure PLC then WiFi for
-    ``duration`` at ``report_interval`` and record mean and std. Runs
-    through the campaign engine's inline path (one process, prebuilt
-    testbed) so the serial and parallel surveys share one code path; use
-    ``repro.campaign.survey_campaign`` to fan the same measurements out
+    ``duration`` at ``report_interval`` and record mean and std, on one
+    prebuilt testbed in this process. The campaign engine's
+    ``survey_pair`` task runs the same :func:`measure_pair`; use
+    ``repro.campaign.survey_campaign`` to fan the measurements out
     across worker processes.
     """
-    from repro.campaign.tasks import run_survey_inline
-
-    return run_survey_inline(
-        testbed, t_start, duration, report_interval,
-        pairs if pairs is not None else testbed.same_board_pairs())
+    if pairs is None:
+        pairs = testbed.same_board_pairs()
+    return [measure_pair(testbed, i, j, t_start, duration, report_interval)
+            for i, j in pairs]
 
 
 def poll_ble_series(testbed: Testbed, src: int, dst: int, t_start: float,

@@ -4,9 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, List
-
-from repro.traffic.packet import Packet
+from typing import List
 
 
 @dataclass(frozen=True)
@@ -54,11 +52,3 @@ class FileTransfer:
     @property
     def n_packets(self) -> int:
         return math.ceil(self.size_bytes / self.packet_bytes)
-
-
-def packets_for_times(times: List[float], packet_bytes: int,
-                      flow_id: str, seq_start: int = 0) -> Iterator[Packet]:
-    """Materialise packets for a list of send times."""
-    for k, t in enumerate(times):
-        yield Packet(seq=seq_start + k, size_bytes=packet_bytes,
-                     created_at=t, flow_id=flow_id)

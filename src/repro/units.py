@@ -34,11 +34,6 @@ MAINS_CYCLE = 1.0 / MAINS_HZ
 HALF_MAINS_CYCLE = MAINS_CYCLE / 2.0
 
 
-def mbps(bits_per_second: float) -> float:
-    """Convert bits/s to Mbit/s (for reporting)."""
-    return bits_per_second / MBPS
-
-
 def bits_per_second(mbit_per_second: float) -> float:
     """Convert Mbit/s to bits/s."""
     return mbit_per_second * MBPS

@@ -1,6 +1,6 @@
 """Benchmark table formatting."""
 
-from repro.analysis.reporting import format_series, format_table
+from repro.analysis.reporting import format_table
 
 
 def test_format_table_aligns_columns():
@@ -23,15 +23,6 @@ def test_format_table_number_rendering():
     assert "12.3" in out
     assert "0.00123" in out
     assert "nan" in out
-
-
-def test_format_series_thins_long_series():
-    xs = list(range(1000))
-    ys = [2 * x for x in xs]
-    out = format_series("S", xs, ys, max_points=10)
-    # Thinned: far fewer than 1000 data lines.
-    assert len(out.splitlines()) < 40
-    assert out.splitlines()[0] == "S"
 
 
 def test_format_table_handles_strings_and_ints():

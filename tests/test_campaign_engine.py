@@ -17,7 +17,7 @@ from repro.campaign import (
     check_specs,
     read_artifacts,
     run_campaign,
-    scenario_campaign,
+    scenario_specs,
     survey_specs,
 )
 from repro.cli import main
@@ -121,9 +121,9 @@ def test_unknown_preset_rejected_before_any_work(tmp_path):
 
 
 def test_scenario_campaign_aggregates_runner_stats(tmp_path):
-    stats = scenario_campaign("mini3", [7, 8], ["mini3-mixed"],
-                              tmp_path / "sc.jsonl", workers=0,
-                              horizon_s=90.0)
+    specs = scenario_specs("mini3", [7, 8], ["mini3-mixed"],
+                           horizon_s=90.0)
+    stats = run_campaign(specs, tmp_path / "sc.jsonl", workers=0)
     assert stats.completed == 2
     assert stats.runner["quanta"] > 0
     assert 0.0 <= stats.runner["cache_hit_rate"] <= 1.0

@@ -45,7 +45,21 @@ def test_survey_save_and_report_roundtrip(tmp_path, capsys):
     rc = main(["report", str(path), "--top", "3"])
     out = capsys.readouterr().out
     assert rc == 0
-    assert "per-link summary" in out
+    assert "survey results" in out
+
+
+def test_survey_save_is_the_campaign_artifact(tmp_path, capsys):
+    """``survey --save`` writes the bytes of an inline survey campaign
+    on the same pairs, and ``report`` reads them as one."""
+    saved, campaign = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+    assert main(["survey", "--pairs", "0-1,1-0",
+                 "--save", str(saved)]) == 0
+    assert main(["campaign", "--kind", "survey", "--pairs", "0-1,1-0",
+                 "--workers", "0", "--quiet", "--out", str(campaign)]) == 0
+    assert saved.read_bytes() == campaign.read_bytes()
+    capsys.readouterr()
+    assert main(["report", str(saved)]) == 0
+    assert "survey results" in capsys.readouterr().out
 
 
 def test_survey_respects_time_options(capsys):
@@ -121,6 +135,41 @@ def test_report_rejects_non_campaign_file(tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == 1
     assert "junk.jsonl:1: not a JSON document" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["survey", "--pairs", "0-99"],
+    ["survey", "--pairs", "3-3"],
+    ["survey", "--pairs", "0-15,0-1"],
+    ["campaign", "--kind", "survey", "--pairs", "0-15"],
+    ["campaign", "--kind", "survey", "--preset", "mini3", "--pairs", "0-5"],
+    ["probe", "0", "99"],
+    ["probe", "3", "3"],
+    ["route", "0", "99"],
+    ["route", "3", "3"],
+], ids=" ".join)
+def test_bad_station_or_pair_refused_before_any_work(tmp_path, capsys,
+                                                     argv):
+    out = tmp_path / "c.jsonl"
+    if argv[0] == "campaign":
+        argv = argv + ["--quiet", "--out", str(out)]
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("options", [[], ["--timeline"]],
+                         ids=["summary", "timeline"])
+def test_report_refuses_an_old_saved_campaign(tmp_path, capsys, options):
+    path = tmp_path / "old.jsonl"
+    path.write_text('{"format": "repro-campaign", "version": 1}\n')
+    rc = main(["report", str(path)] + options)
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "not a repro-campaign-artifacts file" in err
 
 
 def test_report_missing_file(capsys):

@@ -6,10 +6,8 @@ import pytest
 from repro.core.capacity import (
     estimate_capacity_from_sofs,
     estimate_capacity_mbps,
-    predict_throughput,
 )
 from repro.plc.sniffer import capture_saturated
-from repro.plc.spec import HPAV
 from repro.units import MBPS
 
 
@@ -49,12 +47,6 @@ def test_estimate_capacity_mbps_shorthand(testbed, t_work):
     sofs = capture_saturated(link, t_work, 0.5)
     assert estimate_capacity_mbps(sofs) == pytest.approx(
         estimate_capacity_from_sofs(sofs).capacity_bps / MBPS)
-
-
-def test_predict_throughput_applies_mac_chain():
-    pred = predict_throughput(100 * MBPS, HPAV)
-    assert pred.throughput_bps == pytest.approx(100 * MBPS / 1.7, rel=0.03)
-    assert pred.throughput_mbps == pred.throughput_bps / MBPS
 
 
 def test_probing_session_validates_inputs(testbed):

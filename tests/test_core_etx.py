@@ -8,7 +8,6 @@ from repro.core.etx import (
     measure_u_etx,
     run_broadcast_probes,
     u_etx_from_sofs,
-    u_etx_predicted_from_pb_err,
 )
 from repro.plc.frames import SofDelimiter
 
@@ -72,11 +71,3 @@ def test_measured_u_etx_tracks_pb_err(testbed, t_night):
     assert bad.mean_pb_err > good.mean_pb_err
     # Variance grows with U-ETX (the paper's error bars).
     assert bad.std >= good.std
-
-
-def test_analytic_u_etx_matches_mechanism():
-    assert u_etx_predicted_from_pb_err(0.0) == 1.0
-    assert u_etx_predicted_from_pb_err(0.2) > 1.0
-    # 1500 B → 3 PBs: worse than a single-PB packet at the same PBerr.
-    assert (u_etx_predicted_from_pb_err(0.2, payload_bytes=1500)
-            > u_etx_predicted_from_pb_err(0.2, payload_bytes=500))

@@ -6,7 +6,6 @@ from repro.core.probing import (
     AdaptiveProbingPolicy,
     FixedProbingPolicy,
     ProbeSchedule,
-    contention_safe_schedule,
     network_overhead_bps,
     overhead_reduction,
 )
@@ -60,11 +59,3 @@ def test_network_overhead_sums_links():
     one = network_overhead_bps(policy, [50 * MBPS])
     four = network_overhead_bps(policy, [50 * MBPS] * 4)
     assert four == pytest.approx(4 * one)
-
-
-def test_contention_safe_schedule_preserves_average_load():
-    base = ProbeSchedule(interval_s=0.075, payload_bytes=1500)
-    safe = contention_safe_schedule(base, burst_packets=20)
-    assert safe.burst_packets == 20
-    assert safe.overhead_bps() == pytest.approx(base.overhead_bps())
-    assert safe.interval_s == pytest.approx(1.5)

@@ -1,17 +1,15 @@
 """A day in the life of the hybrid stack: every layer working together.
 
-Build the 1905 table by probing per the Table 3 guidelines, route with it,
-bond the best pair, persist the campaign — the workflow a real hybrid
-implementation would run on top of this library.
+Build the 1905 table by probing per the Table 3 guidelines, route with it
+and bond the best pair — the workflow a real hybrid implementation would
+run on top of this library.
 """
 
 import numpy as np
 import pytest
 
-from repro.analysis.traces import Campaign, load_campaign, save_campaign
 from repro.core.classification import classify_ble
 from repro.core.guidelines import LinkState, audit_schedule, recommend
-from repro.core.metrics import LinkMetricRecord
 from repro.hybrid import AbstractionLayer, HybridDevice, HybridMeshRouter
 from repro.hybrid.routing import populate_from_testbed
 from repro.units import MBPS
@@ -61,20 +59,6 @@ def test_router_and_bond_agree_on_the_best_medium(layer, testbed, t_work):
                           testbed.streams)
     capacities = device.estimate_capacities_bps(t_work)
     assert path.hops[0].medium == max(capacities, key=capacities.get)
-
-
-def test_campaign_roundtrip_preserves_the_table(layer, tmp_path):
-    campaign = Campaign(name="table-dump")
-    for (src, dst, medium) in layer.links():
-        campaign.add(layer.get(src, dst, medium))
-    path = tmp_path / "table.jsonl"
-    save_campaign(campaign, path)
-    reloaded = load_campaign(path)
-    assert len(reloaded) == len(layer)
-    rebuilt = AbstractionLayer()
-    for record in reloaded.records:
-        rebuilt.update(record)
-    assert rebuilt.links() == layer.links()
 
 
 def test_bonded_pair_beats_best_single_medium(layer, testbed, t_work):

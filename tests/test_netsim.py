@@ -119,21 +119,6 @@ def test_runner_quantum_validation(testbed):
         ScenarioRunner(testbed, quantum_s=0.0)
 
 
-def test_results_export_to_campaign(testbed, t_work, tmp_path):
-    from repro.analysis.traces import load_campaign, save_campaign
-    from repro.netsim.runner import results_to_campaign
-
-    scenario = (Scenario("exp")
-                .add(FlowRequest("a", 0, 1, t_work, duration_s=5.0))
-                .add(FlowRequest("b", 13, 14, t_work, duration_s=5.0)))
-    results = ScenarioRunner(testbed).run(scenario)
-    campaign = results_to_campaign(results, name="exp")
-    assert len(campaign) == 2
-    path = tmp_path / "scenario.jsonl"
-    save_campaign(campaign, path)
-    assert len(load_campaign(path)) == 2
-
-
 def test_late_start_scenario_stops_at_end_plus_slack(testbed):
     """Regression: the default horizon used to be double-offset — an
     absolute deadline (``end_time() + 60``) treated as relative to the
@@ -187,19 +172,6 @@ def test_runner_stats_report_cache_hits_and_utilisation(testbed, t_work):
     util = stats.domain_utilisation()
     assert util["plc:B1"] == pytest.approx(1.0)
     assert stats.to_dict()["quanta"] == 40
-
-
-def test_campaign_export_records_runner_stats(testbed, t_work):
-    from repro.netsim.runner import results_to_campaign
-
-    scenario = Scenario("prov").add(FlowRequest(
-        "solo", 0, 1, t_work, duration_s=5.0))
-    runner = ScenarioRunner(testbed)
-    results = runner.run(scenario)
-    campaign = results_to_campaign(results, name="prov",
-                                   stats=runner.stats)
-    assert "cache_hit_rate=" in campaign.description
-    assert "quanta=10" in campaign.description
 
 
 def test_many_flows_share_one_domain(testbed, t_work):

@@ -1,8 +1,8 @@
-"""Frame structures: SoF delimiters and SACKs."""
+"""Frame structures: SoF delimiters."""
 
 import pytest
 
-from repro.plc.frames import PlcFrame, Sack, SofDelimiter
+from repro.plc.frames import SofDelimiter
 
 
 def _sof(**kw):
@@ -24,19 +24,3 @@ def test_sof_flags_default_false():
     assert not sof.is_retransmission
     assert not sof.is_sound
     assert not sof.is_broadcast
-
-
-def test_sack_counts_errored_pbs():
-    sack = Sack(timestamp=1.0, src="b", dst="a",
-                pb_ok=(True, False, True))
-    assert sack.errored_pbs == 1
-    assert not sack.all_ok
-    clean = Sack(timestamp=1.0, src="b", dst="a", pb_ok=(True, True))
-    assert clean.all_ok
-
-
-def test_frame_bundles_sof_and_sack():
-    frame = PlcFrame(sof=_sof(), payload_bytes=1500,
-                     sack=Sack(2.0, "b", "a", (True, True, True)))
-    assert frame.payload_bytes == 1500
-    assert frame.sack.all_ok

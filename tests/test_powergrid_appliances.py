@@ -8,7 +8,6 @@ from repro.powergrid.appliances import (
     ApplianceInstance,
     LINE_IMPEDANCE,
     ScheduleClass,
-    catalog_names,
 )
 
 
@@ -58,11 +57,6 @@ def test_instance_factory_validates_kind():
         ApplianceInstance.make("x", "toaster-oven", "outlet-1")
     inst = ApplianceInstance.make("x", "microwave", "outlet-1")
     assert inst.kind.name == "microwave"
-
-
-def test_catalog_names_sorted_and_complete():
-    names = catalog_names()
-    assert list(names) == sorted(APPLIANCE_CATALOG)
 
 
 def test_intermittent_appliances_declare_duty_cycle():

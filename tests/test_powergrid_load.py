@@ -7,12 +7,7 @@ from repro.compile import compile_testbed
 from repro.faults import ANY_TARGET, FaultEvent, FaultPlan, inject_surges
 from repro.powergrid.activity import OfficeActivityModel
 from repro.powergrid.appliances import ApplianceInstance
-from repro.powergrid.load import (
-    BACKGROUND_NOISE_DBM_HZ,
-    ElectricalLoad,
-    dbm_to_mw,
-    mw_to_dbm,
-)
+from repro.powergrid.load import BACKGROUND_NOISE_DBM_HZ, ElectricalLoad
 from repro.powergrid.topology import GridTopology, Outlet
 from repro.sim.clock import MainsClock
 from repro.sim.random import RandomStreams
@@ -110,12 +105,6 @@ def test_impulsive_rate_positive_near_impulsive_appliance(load):
     assert load.impulsive_event_rate_at("near", t) > 0
     assert (load.impulsive_event_rate_at("near", t)
             > load.impulsive_event_rate_at("far", t))
-
-
-def test_dbm_conversions_roundtrip():
-    assert mw_to_dbm(dbm_to_mw(-87.5)) == pytest.approx(-87.5)
-    with pytest.raises(ValueError):
-        mw_to_dbm(0.0)
 
 
 def test_state_signature_matches_appliance_order(load):

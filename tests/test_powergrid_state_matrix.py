@@ -24,9 +24,9 @@ from repro.powergrid.activity import (
     OfficeActivityModel,
 )
 from repro.powergrid.appliances import (
+    APPLIANCE_CATALOG,
     ApplianceInstance,
     ScheduleClass,
-    catalog_names,
 )
 from repro.sim.random import RandomStreams
 from repro.units import DAY, HOUR, MINUTE
@@ -246,7 +246,7 @@ def catalog_population():
     rule branch (weekend lighting subset, overnight machines, weekend
     visits, each duty cycle) is populated."""
     appliances = [ApplianceInstance.make(f"{name}-{k}", name, "o")
-                  for name in catalog_names() for k in range(8)]
+                  for name in sorted(APPLIANCE_CATALOG) for k in range(8)]
     return OfficeActivityModel(RandomStreams(seed=3)), appliances
 
 

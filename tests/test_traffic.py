@@ -7,7 +7,6 @@ from repro.traffic.generators import (
     CbrFlow,
     FileTransfer,
     SaturatedUdpFlow,
-    packets_for_times,
 )
 from repro.medium.link import BatchSamplingMixin, LinkSample
 from repro.traffic.iperf import completion_time_s, run_udp_test
@@ -71,12 +70,6 @@ def test_file_transfer_packet_count():
     assert ft.n_packets == 400000
     with pytest.raises(ValueError):
         FileTransfer(size_bytes=0)
-
-
-def test_packets_for_times_sequence():
-    packets = list(packets_for_times([0.0, 0.1], 1500, "f", seq_start=5))
-    assert [p.seq for p in packets] == [5, 6]
-    assert packets[1].created_at == 0.1
 
 
 def test_run_udp_test_matches_link_mean(testbed, t_work):

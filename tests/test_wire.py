@@ -26,7 +26,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.traces import Campaign, load_campaign, save_campaign
 from repro.bench.schema import (
     BenchDocument,
     BenchResult,
@@ -44,7 +43,6 @@ from repro.campaign.artifacts import (
     read_quarantine,
 )
 from repro.campaign.spec import ExperimentSpec
-from repro.core.metrics import LinkMetricRecord
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import read_trace, write_trace
 from repro.snapshot.codec import Snapshot, read_snapshot, write_snapshot
@@ -120,15 +118,6 @@ def _write_bench(d: Path, v: int) -> Path:
     return path
 
 
-def _write_campaign(d: Path, v: int) -> Path:
-    campaign = Campaign(name="survey", seed=v)
-    campaign.add(LinkMetricRecord(time=float(v), src="0", dst="1",
-                                  medium="plc", capacity_bps=1e6))
-    path = d / "survey.jsonl"
-    save_campaign(campaign, path)
-    return path
-
-
 #: format -> (writer, reader, layout). ``lines`` files carry their
 #: envelope on the first line; a ``document`` is the envelope.
 FORMATS = {
@@ -139,7 +128,6 @@ FORMATS = {
     "verify-report": (_write_report, read_report, "lines"),
     "fuzz-repro": (_write_repro, replay_repro, "document"),
     "bench": (_write_bench, read_document, "document"),
-    "saved-campaign": (_write_campaign, load_campaign, "lines"),
 }
 LINE_FORMATS = sorted(name for name, (_, _, layout) in FORMATS.items()
                       if layout == "lines")
